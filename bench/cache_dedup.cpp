@@ -60,7 +60,7 @@ SweepTiming run_sweep(const std::vector<qfr::frag::Fragment>& frags,
   const qfr::engine::ModelEngine eng;
   const double t0 = now_seconds();
   const qfr::runtime::RunReport rep = rt.run(frags, eng);
-  return {now_seconds() - t0, rep.n_cache_hits()};
+  return {now_seconds() - t0, rep.n_reuse_exact()};
 }
 
 }  // namespace

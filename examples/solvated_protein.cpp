@@ -96,13 +96,13 @@ int main(int argc, char** argv) {
   const auto r_cached = run(solvated, "protein + water", /*with_cache=*/true);
   const std::size_t n_frag = r_cached.sweep.n_fragments;
   const double hit_rate =
-      n_frag > 0 ? static_cast<double>(r_cached.sweep.n_cache_hits) /
+      n_frag > 0 ? static_cast<double>(r_cached.sweep.n_reuse_exact) /
                        static_cast<double>(n_frag)
                  : 0.0;
   std::printf("sweep wall: uncached %.3f s, cached %.3f s (delta %+.3f s)\n",
               r_sol.engine_seconds, r_cached.engine_seconds,
               r_cached.engine_seconds - r_sol.engine_seconds);
-  std::printf("cache hits: %zu / %zu fragments\n", r_cached.sweep.n_cache_hits,
+  std::printf("cache hits: %zu / %zu fragments\n", r_cached.sweep.n_reuse_exact,
               n_frag);
   std::printf("cache_hit_rate=%.4f\n", hit_rate);
   return 0;

@@ -229,10 +229,12 @@ fi
 # the thread pool — the TSan leg), the leader-process wire protocol fuzz
 # (hostile frames must fail typed, never UB — the ASan/UBSan leg exists
 # for exactly this), and the GEMM kernel/executor fuzz (out-of-bounds
-# packing under ASan, ISA-dispatch atomics under TSan).
+# packing under ASan, ISA-dispatch atomics under TSan), and the
+# fragment-attempt kernel's exception mapping on thread leaders and the
+# serve pool (its process-leader half lives in test_process_runtime).
 ROBUSTNESS_TESTS=(test_fault test_checkpoint test_scheduler test_tracker
                   test_supervisor test_obs test_cache test_kernels
-                  test_wire)
+                  test_wire test_fragment_attempt)
 
 for SAN in address undefined thread; do
   case "$SAN" in

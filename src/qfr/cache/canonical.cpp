@@ -224,7 +224,6 @@ engine::FragmentResult rotate_result(const engine::FragmentResult& in,
   out.phase_times = in.phase_times;
   out.flops = in.flops;
   out.displacement_tasks = in.displacement_tasks;
-  out.cache_hit = in.cache_hit;
   out.reuse_tier = in.reuse_tier;
 
   // Hessian: per (atom, atom) 3x3 block, B' = Q B Q^T with re-indexing.

@@ -217,7 +217,6 @@ engine::FragmentResult ResultCache::get_or_compute(std::string_view ns,
       obs::SpanGuard span(obs::current(), "cache.hit", "cache");
       span.arg("atoms", static_cast<double>(c.key.n_atoms()));
       engine::FragmentResult out = to_lab_frame(*value, c);
-      out.cache_hit = true;
       out.reuse_tier = engine::ReuseTier::kExact;
       return out;
     }
@@ -251,7 +250,6 @@ engine::FragmentResult ResultCache::get_or_compute(std::string_view ns,
       obs::SpanGuard span(obs::current(), "cache.hit", "cache");
       span.arg("atoms", static_cast<double>(c.key.n_atoms()));
       engine::FragmentResult out = to_lab_frame(*value, c);
-      out.cache_hit = true;
       out.reuse_tier = engine::ReuseTier::kExact;
       return out;
     }
@@ -313,7 +311,6 @@ engine::FragmentResult ResultCache::compute_as_leader(
   bump("qfr.cache.misses");
   bump_ns("qfr.cache.misses", c.key.ns);
   publish_bytes_gauge();
-  lab.cache_hit = false;
   lab.reuse_tier = engine::ReuseTier::kComputed;
   return lab;
 }
@@ -347,7 +344,6 @@ std::optional<engine::FragmentResult> ResultCache::lookup(
   bump("qfr.cache.hits");
   bump_ns("qfr.cache.hits", c.key.ns);
   engine::FragmentResult out = to_lab_frame(*value, c);
-  out.cache_hit = true;
   out.reuse_tier = engine::ReuseTier::kExact;
   return out;
 }

@@ -117,8 +117,8 @@ class ResultCache {
 
   /// The cache's one hot-path entry point: serve `mol` under engine
   /// namespace `ns` from cache, or run `compute` (single-flight) and
-  /// remember it. The returned result is in the caller's lab frame with
-  /// `cache_hit` set accordingly.
+  /// remember it. The returned result is in the caller's lab frame, with
+  /// reuse_tier kExact when the cache served it.
   engine::FragmentResult get_or_compute(std::string_view ns,
                                         const chem::Molecule& mol,
                                         const ComputeFn& compute);

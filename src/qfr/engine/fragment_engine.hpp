@@ -12,10 +12,10 @@
 
 namespace qfr::engine {
 
-/// How a fragment result was obtained relative to the result cache — the
-/// provenance axis behind `cache_hit` once reuse is tiered (trajectory
-/// streaming): a fresh compute, an exact rigid-motion hit transported from
-/// the cache, or a perturbative refresh of a near-hit cached result.
+/// How a fragment result was obtained relative to the result cache: a
+/// fresh compute, an exact rigid-motion hit transported from the cache,
+/// or a perturbative refresh of a near-hit cached result (trajectory
+/// streaming).
 enum class ReuseTier : unsigned char {
   kComputed = 0,  ///< full compute (cache miss, or cache disabled)
   kExact = 1,     ///< rigid motion within tolerance: transported, zero compute
@@ -47,14 +47,9 @@ struct FragmentResult {
   dfpt::PhaseTimes phase_times; ///< accumulated DFPT phase wall time
   std::int64_t flops = 0;       ///< GEMM-shaped FLOPs executed
   int displacement_tasks = 0;   ///< jobs a leader would fan out to workers
-  /// Provenance only, never serialized into checkpoints: true when this
-  /// result was served from the qfr::cache result cache instead of being
-  /// computed (restored-from-checkpoint results therefore load as false).
-  bool cache_hit = false;
-  /// Provenance only (same caveat as cache_hit): which reuse tier produced
-  /// this result. `cache_hit == true` implies kExact; a perturbative
-  /// refresh sets kRefresh with cache_hit false (the tensors were updated,
-  /// not transported verbatim).
+  /// Provenance only, never serialized into checkpoints (restored results
+  /// load as kComputed): which reuse tier produced this result. kExact
+  /// means the qfr::cache result cache served it.
   ReuseTier reuse_tier = ReuseTier::kComputed;
 };
 

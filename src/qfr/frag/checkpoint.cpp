@@ -1,7 +1,6 @@
 #include "qfr/frag/checkpoint.hpp"
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -18,9 +17,9 @@ namespace {
 using common::crc32;
 
 constexpr std::uint32_t kMagic = 0x5146524Du;  // "QFRM"
-constexpr std::uint32_t kVersion = 2;             // whole-vector format
-constexpr std::uint32_t kVersionLegacyIncremental = 3;  // pre-CRC append-only
-constexpr std::uint32_t kVersionIncremental = 4;  // CRC-framed append-only
+// Versions 2 (whole-vector snapshot) and 3 (pre-CRC append-only) are
+// retired and rejected like any other mismatch; never reuse them.
+constexpr std::uint32_t kVersion = 4;  // CRC-framed append-only
 constexpr std::uint64_t kSentinel = 0xC0FFEEu;
 // A fragment record is a few matrices of a few thousand atoms at most; a
 // frame length beyond this means the length field itself is corrupt.
@@ -58,7 +57,15 @@ bool get_matrix(std::istream& is, la::Matrix* m) {
   return is.good();
 }
 
-void put_record(std::ostream& os, const engine::FragmentResult& r) {
+void put_header(std::ostream& os) {
+  put_u64(os, kMagic);
+  put_u64(os, kVersion);
+  QFR_REQUIRE(os.good(), "checkpoint header write failed");
+}
+
+}  // namespace
+
+void write_result_record(std::ostream& os, const engine::FragmentResult& r) {
   put_f64(os, r.energy);
   put_matrix(os, r.hessian);
   put_matrix(os, r.alpha);
@@ -69,7 +76,7 @@ void put_record(std::ostream& os, const engine::FragmentResult& r) {
   put_u64(os, kSentinel);  // record-complete sentinel
 }
 
-bool get_record(std::istream& is, engine::FragmentResult* r) {
+bool read_result_record(std::istream& is, engine::FragmentResult* r) {
   std::uint64_t flops = 0, tasks = 0, sentinel = 0;
   const bool ok = get_f64(is, &r->energy) && get_matrix(is, &r->hessian) &&
                   get_matrix(is, &r->alpha) && get_matrix(is, &r->dalpha) &&
@@ -82,89 +89,17 @@ bool get_record(std::istream& is, engine::FragmentResult* r) {
   return true;
 }
 
-}  // namespace
-
-void write_result_record(std::ostream& os, const engine::FragmentResult& r) {
-  put_record(os, r);
-}
-
-bool read_result_record(std::istream& is, engine::FragmentResult* r) {
-  return get_record(is, r);
-}
-
-void save_results(std::ostream& os,
-                  std::span<const engine::FragmentResult> results) {
-  put_u64(os, kMagic);
-  put_u64(os, kVersion);
-  put_u64(os, results.size());
-  for (const auto& r : results) put_record(os, r);
-  QFR_REQUIRE(os.good(), "checkpoint write failed");
-}
-
-void save_results_file(const std::string& path,
-                       std::span<const engine::FragmentResult> results) {
-  // Write-then-rename: readers either see the previous complete snapshot
-  // or the new complete snapshot, never a torn one.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    QFR_REQUIRE(os.good(), "cannot open '" << tmp << "' for writing");
-    save_results(os, results);
-    os.flush();
-    QFR_REQUIRE(os.good(), "checkpoint write to '" << tmp << "' failed");
-  }
-  QFR_REQUIRE(std::rename(tmp.c_str(), path.c_str()) == 0,
-              "cannot rename '" << tmp << "' to '" << path << "'");
-}
-
-LoadReport load_results(std::istream& is) {
-  std::uint64_t magic = 0, version = 0, count = 0;
-  QFR_REQUIRE(get_u64(is, &magic) && magic == kMagic,
-              "not a QF-RAMAN checkpoint stream");
-  QFR_REQUIRE(get_u64(is, &version) && version == kVersion,
-              "checkpoint version mismatch (got " << version << ", expected "
-                                                  << kVersion << ")");
-  QFR_REQUIRE(get_u64(is, &count), "truncated checkpoint header");
-
-  LoadReport report;
-  report.results.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    engine::FragmentResult r;
-    if (!get_record(is, &r)) {
-      report.n_dropped = count - i;
-      break;
-    }
-    report.results.push_back(std::move(r));
-  }
-  return report;
-}
-
-LoadReport load_results_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  QFR_REQUIRE(is.good(), "cannot open '" << path << "' for reading");
-  return load_results(is);
-}
-
-namespace {
-
-void put_incremental_header(std::ostream& os) {
-  put_u64(os, kMagic);
-  put_u64(os, kVersionIncremental);
-  QFR_REQUIRE(os.good(), "checkpoint header write failed");
-}
-
-}  // namespace
 
 CheckpointWriter::CheckpointWriter(const std::string& path)
     : file_(path, std::ios::binary | std::ios::trunc) {
   QFR_REQUIRE(file_.good(), "cannot open '" << path << "' for writing");
   os_ = &file_;
-  put_incremental_header(*os_);
+  put_header(*os_);
   os_->flush();
 }
 
 CheckpointWriter::CheckpointWriter(std::ostream& os) : os_(&os) {
-  put_incremental_header(*os_);
+  put_header(*os_);
 }
 
 void CheckpointWriter::append(std::size_t fragment_id,
@@ -172,7 +107,7 @@ void CheckpointWriter::append(std::size_t fragment_id,
   // Frame: [id u64][payload len u64][payload][crc32-of-payload u64]. The
   // length makes a corrupt payload skippable; the CRC makes it detectable.
   std::ostringstream payload(std::ios::binary);
-  put_record(payload, result);
+  write_result_record(payload, result);
   const std::string bytes = payload.str();
 
   put_u64(*os_, static_cast<std::uint64_t>(fragment_id));
@@ -185,25 +120,15 @@ void CheckpointWriter::append(std::size_t fragment_id,
   ++n_;
 }
 
-namespace {
-
-/// v3 scan loop (pre-CRC): records are not framed, so the first corrupt or
-/// partial record ends the scan.
-void scan_legacy(std::istream& is, CheckpointReport* report) {
-  for (;;) {
-    std::uint64_t id = 0;
-    if (!get_u64(is, &id)) break;  // clean end of stream
-    engine::FragmentResult r;
-    if (!get_record(is, &r)) {
-      report->truncated = true;  // record in flight when the run died
-      break;
-    }
-    report->fragment_ids.push_back(static_cast<std::size_t>(id));
-    report->results.push_back(std::move(r));
-  }
-}
-
-void scan_framed(std::istream& is, CheckpointReport* report) {
+CheckpointReport scan_checkpoint(std::istream& is) {
+  std::uint64_t magic = 0, version = 0;
+  QFR_REQUIRE(get_u64(is, &magic) && magic == kMagic,
+              "not a QF-RAMAN checkpoint stream");
+  QFR_REQUIRE(get_u64(is, &version), "truncated checkpoint header");
+  QFR_REQUIRE(version == kVersion, "checkpoint version mismatch (got "
+                                       << version << ", expected " << kVersion
+                                       << ")");
+  CheckpointReport report;
   std::string payload;
   for (;;) {
     std::uint64_t id = 0, len = 0;
@@ -211,49 +136,29 @@ void scan_framed(std::istream& is, CheckpointReport* report) {
     if (!get_u64(is, &len) || len > kMaxRecordBytes) {
       // A corrupt length field is indistinguishable from a torn tail: we
       // cannot find the next frame boundary, so the scan stops here.
-      report->truncated = true;
+      report.truncated = true;
       break;
     }
     payload.resize(static_cast<std::size_t>(len));
     is.read(payload.data(), static_cast<std::streamsize>(len));
     std::uint64_t stored_crc = 0;
     if (!is.good() || !get_u64(is, &stored_crc)) {
-      report->truncated = true;
+      report.truncated = true;
       break;
     }
     engine::FragmentResult r;
     std::istringstream ps(payload, std::ios::binary);
     if (crc32(payload.data(), payload.size()) != stored_crc ||
-        !get_record(ps, &r)) {
+        !read_result_record(ps, &r)) {
       // The frame is intact but the payload is damaged: skip exactly this
       // record and keep scanning from the next frame.
-      ++report->n_corrupt;
-      report->corrupt_ids.push_back(static_cast<std::size_t>(id));
+      ++report.n_corrupt;
+      report.corrupt_ids.push_back(static_cast<std::size_t>(id));
       continue;
     }
-    report->fragment_ids.push_back(static_cast<std::size_t>(id));
-    report->results.push_back(std::move(r));
+    report.fragment_ids.push_back(static_cast<std::size_t>(id));
+    report.results.push_back(std::move(r));
   }
-}
-
-}  // namespace
-
-CheckpointReport scan_checkpoint(std::istream& is) {
-  std::uint64_t magic = 0, version = 0;
-  QFR_REQUIRE(get_u64(is, &magic) && magic == kMagic,
-              "not a QF-RAMAN checkpoint stream");
-  QFR_REQUIRE(get_u64(is, &version),
-              "truncated incremental checkpoint header");
-  QFR_REQUIRE(version == kVersionIncremental ||
-                  version == kVersionLegacyIncremental,
-              "incremental checkpoint version mismatch (got "
-                  << version << ", expected " << kVersionIncremental << " or "
-                  << kVersionLegacyIncremental << ")");
-  CheckpointReport report;
-  if (version == kVersionLegacyIncremental)
-    scan_legacy(is, &report);
-  else
-    scan_framed(is, &report);
   return report;
 }
 

@@ -109,7 +109,6 @@ Json build_run_report(const Session& session,
     sched["n_resumed"] = Json(sweep->n_resumed);
     sched["n_failed"] = Json(sweep->n_failed());
     sched["n_degraded"] = Json(sweep->n_degraded());
-    sched["n_cache_hits"] = Json(sweep->n_cache_hits());
     sched["n_reuse_exact"] = Json(sweep->n_reuse_exact());
     sched["n_reuse_refresh"] = Json(sweep->n_reuse_refresh());
     sched["n_leader_crashes"] = Json(sweep->n_leader_crashes);
@@ -193,7 +192,7 @@ void write_outcomes_csv(std::ostream& os,
                         const std::vector<double>* fragment_seconds,
                         const std::string& policy) {
   os << "fragment_id,completed,engine,engine_level,reason,attempts,"
-        "rejections,fault_retries,from_checkpoint,cache_hit,reuse_tier,"
+        "rejections,fault_retries,from_checkpoint,reuse_tier,"
         "wall_seconds,error";
   if (!policy.empty()) os << ",policy";
   os << '\n';
@@ -203,7 +202,6 @@ void write_outcomes_csv(std::ostream& os,
     os << ',' << o.engine_level << ',' << runtime::to_string(o.reason) << ','
        << o.attempts << ',' << o.rejections << ',' << o.fault_failures << ','
        << (o.from_checkpoint ? 1 : 0) << ','
-       << (o.cache_hit ? 1 : 0) << ','
        << engine::to_string(o.reuse_tier) << ',';
     if (fragment_seconds != nullptr &&
         o.fragment_id < fragment_seconds->size()) {

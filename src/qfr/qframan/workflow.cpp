@@ -225,7 +225,6 @@ WorkflowResult RamanWorkflow::run(const frag::BioSystem& system,
   out.sweep.n_rejected = report.n_rejected;
   out.sweep.n_resumed = report.n_resumed;
   out.sweep.n_degraded = report.n_degraded();
-  out.sweep.n_cache_hits = report.n_cache_hits();
   out.sweep.n_reuse_exact = report.n_reuse_exact();
   out.sweep.n_reuse_refresh = report.n_reuse_refresh();
   out.sweep.n_corrupt_records = n_corrupt_records;

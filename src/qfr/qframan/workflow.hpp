@@ -150,12 +150,10 @@ struct SweepSummary {
   std::size_t n_dropped = 0;
   /// Checkpoint records skipped as corrupt during resume.
   std::size_t n_corrupt_records = 0;
-  /// Fragments whose accepted result came from the result cache (zero
-  /// unless WorkflowOptions::cache.enabled).
-  std::size_t n_cache_hits = 0;
-  /// Completed fragments by reuse tier (trajectory streaming): exact
-  /// cache transports and perturbative refreshes. n_reuse_exact mirrors
-  /// n_cache_hits; kComputed fragments are the remainder.
+  /// Completed fragments by reuse tier: exact cache transports (results
+  /// the result cache served; zero unless WorkflowOptions::cache.enabled)
+  /// and perturbative refreshes (trajectory streaming). kComputed
+  /// fragments are the remainder.
   std::size_t n_reuse_exact = 0;
   std::size_t n_reuse_refresh = 0;
   // Supervision counters (zero unless supervise was set).

@@ -31,17 +31,14 @@ std::unique_ptr<LeaderTransport> make_leader_transport(TransportKind kind) {
 
 namespace detail {
 
-bool deliver_result(SweepDrive& drive, std::size_t leader, const Lease& lease,
-                    std::size_t level, engine::FragmentResult&& result,
-                    double seconds) {
-  (void)leader;
+bool deliver_result(SweepDrive& drive, const Lease& lease, std::size_t level,
+                    engine::FragmentResult&& result, double seconds) {
   const std::size_t fid = lease.fragment_id;
   // The integrity gate: a rejected or stale result re-enters the
   // retry/degradation path and never reaches the results array or the
   // sink — an injected NaN Hessian cannot leak into assembly, and a
   // revoked lease cannot deliver twice.
-  if (drive.scheduler.on_completion(lease, result,
-                                    drive.engine_name_at(level)) !=
+  if (drive.scheduler.on_completion(lease, result, drive.levels[level].name) !=
       Completion::kAccepted)
     return false;
   RunReport& report = *drive.report;

@@ -2,15 +2,15 @@
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
+#include <vector>
 
 #include "qfr/common/timer.hpp"
 #include "qfr/engine/fragment_engine.hpp"
 #include "qfr/frag/fragmentation.hpp"
+#include "qfr/runtime/fragment_attempt.hpp"
 #include "qfr/runtime/sweep_scheduler.hpp"
 
 namespace qfr::obs {
@@ -55,11 +55,9 @@ struct SweepDrive {
   obs::Session* obs = nullptr;
   /// The sweep clock ("now" for acquire/tick and the supervisor).
   const WallTimer* wall = nullptr;
-  /// Level-aware fragment compute with the result cache and the fallback
-  /// chain already folded in (level 0 = primary engine).
-  std::function<engine::FragmentResult(const frag::Fragment&, std::size_t)>
-      compute_at = {};
-  std::function<std::string(std::size_t)> engine_name_at = {};
+  /// The fallback ladder (level 0 = primary engine); leaders hand a
+  /// fragment's level to run_fragment together with options.cache.
+  std::vector<EngineLevel> levels = {};
   RunReport* report = nullptr;
   std::mutex* sink_mutex = nullptr;
   std::atomic<std::size_t>* n_cancelled = nullptr;
@@ -90,9 +88,8 @@ namespace detail {
 /// gate and, when accepted, into the report and the sink. Shared by both
 /// transports so acceptance side effects (metrics, fragment_seconds,
 /// sink serialization) cannot drift apart. Returns true when accepted.
-bool deliver_result(SweepDrive& drive, std::size_t leader, const Lease& lease,
-                    std::size_t level, engine::FragmentResult&& result,
-                    double seconds);
+bool deliver_result(SweepDrive& drive, const Lease& lease, std::size_t level,
+                    engine::FragmentResult&& result, double seconds);
 
 }  // namespace detail
 

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <thread>
 
-#include "qfr/cache/store.hpp"
 #include "qfr/common/cancel.hpp"
 #include "qfr/common/error.hpp"
 #include "qfr/common/log.hpp"
@@ -33,13 +32,6 @@ std::size_t RunReport::n_degraded() const {
   return n;
 }
 
-std::size_t RunReport::n_cache_hits() const {
-  std::size_t n = 0;
-  for (const auto& o : outcomes)
-    if (o.completed && o.cache_hit) ++n;
-  return n;
-}
-
 std::size_t RunReport::n_reuse_exact() const {
   std::size_t n = 0;
   for (const auto& o : outcomes)
@@ -59,14 +51,6 @@ MasterRuntime::MasterRuntime(RuntimeOptions options)
   QFR_REQUIRE(options_.n_leaders >= 1, "need at least one leader");
   QFR_REQUIRE(options_.workers_per_leader >= 1,
               "need at least one worker per leader");
-}
-
-engine::FragmentResult compute_with_engine(const engine::FragmentEngine& eng,
-                                           const frag::Fragment& f) {
-  // Topology-tagged dispatch: engines that care (the model surrogate)
-  // use the fragmentation's explicit bond list; everything else falls
-  // back to the id-tagged compute through the default implementation.
-  return eng.compute(f.id, f.mol, f.bonds);
 }
 
 RunReport MasterRuntime::run(std::span<const frag::Fragment> fragments,
@@ -104,40 +88,22 @@ RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
     items.push_back(
         {f.id, f.n_atoms(), options_.cost_model.evaluate(f.n_atoms())});
 
-  const std::size_t n_chain =
-      options_.fallback_chain ? options_.fallback_chain->size() : 0;
+  // Level 0 is the caller's compute, levels 1..n the fallback chain
+  // (graceful degradation).
+  std::vector<EngineLevel> levels =
+      make_engine_levels({compute, primary_name}, options_.fallback_chain);
 
   SweepOptions sopts;
   sopts.straggler_timeout = options_.straggler_timeout;
   sopts.max_retries = options_.max_retries;
   sopts.completed_ids = options_.completed_ids;
-  sopts.n_engine_levels = 1 + n_chain;
+  sopts.n_engine_levels = levels.size();
   sopts.validator = options_.validator;
   sopts.retry_backoff_base = options_.retry_backoff_base;
   sopts.retry_backoff_max = options_.retry_backoff_max;
   sopts.retry_backoff_jitter = options_.retry_backoff_jitter;
   SweepScheduler scheduler(std::move(items), std::move(policy),
                            std::move(sopts));
-
-  auto engine_name_at = [&](std::size_t level) -> std::string {
-    if (level == 0) return primary_name;
-    return options_.fallback_chain->engine(level - 1).name();
-  };
-  // Level-aware compute: level 0 is the caller's engine, levels 1..n are
-  // the fallback chain (graceful degradation). With a result cache
-  // configured every level's compute is routed through it, namespaced by
-  // that level's engine name, so cached results respect the fragment's
-  // fallback level.
-  auto compute_at = [&](const frag::Fragment& f,
-                        std::size_t level) -> engine::FragmentResult {
-    auto raw = [&]() -> engine::FragmentResult {
-      if (level == 0) return compute(f);
-      return compute_with_engine(options_.fallback_chain->engine(level - 1),
-                                 f);
-    };
-    if (options_.cache == nullptr) return raw();
-    return options_.cache->get_or_compute(engine_name_at(level), f.mol, raw);
-  };
 
   const bool supervised = options_.supervision.enabled;
   std::optional<Supervisor> supervisor;
@@ -165,8 +131,7 @@ RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
   drive.supervisor = supervisor ? &*supervisor : nullptr;
   drive.obs = obs;
   drive.wall = &wall;
-  drive.compute_at = compute_at;
-  drive.engine_name_at = engine_name_at;
+  drive.levels = std::move(levels);
   drive.report = &report;
   drive.sink_mutex = &sink_mutex;
   drive.n_cancelled = &n_cancelled;
@@ -215,7 +180,6 @@ RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,
     m.counter("sched.leader_hangs").add(report.n_leader_hangs);
     m.counter("sched.failed").add(report.n_failed());
     m.counter("sched.degraded").add(report.n_degraded());
-    m.counter("sched.cache_hits").add(report.n_cache_hits());
     m.counter("sched.reuse_exact").add(report.n_reuse_exact());
     m.counter("sched.reuse_refresh").add(report.n_reuse_refresh());
     m.gauge("sched.makespan_seconds").set(report.makespan_seconds);

@@ -10,6 +10,7 @@
 #include "qfr/engine/fallback_chain.hpp"
 #include "qfr/engine/fragment_engine.hpp"
 #include "qfr/frag/fragmentation.hpp"
+#include "qfr/runtime/fragment_attempt.hpp"
 #include "qfr/runtime/leader_transport.hpp"
 #include "qfr/runtime/result_sink.hpp"
 #include "qfr/runtime/sweep_scheduler.hpp"
@@ -162,21 +163,12 @@ struct RunReport {
   std::size_t n_failed() const;
   /// Fragments completed by a fallback engine instead of the primary.
   std::size_t n_degraded() const;
-  /// Fragments whose accepted result was served by the result cache.
-  std::size_t n_cache_hits() const;
-  /// Completed fragments by reuse tier (trajectory streaming provenance):
-  /// exact cache transports and perturbative refreshes.
+  /// Completed fragments by reuse tier: exact cache transports (every
+  /// result the cache served) and perturbative refreshes (trajectory
+  /// streaming).
   std::size_t n_reuse_exact() const;
   std::size_t n_reuse_refresh() const;
 };
-
-/// One engine-dispatch convention shared by the primary and every
-/// fallback level (and by the serving layer): the classical engine
-/// exploits the fragment's explicit topology, everything else gets the
-/// id-tagged geometry call (so fault decorators can key on the fragment
-/// id).
-engine::FragmentResult compute_with_engine(const engine::FragmentEngine& eng,
-                                           const frag::Fragment& f);
 
 /// In-process realization of the paper's three-level hierarchy (Fig. 3):
 /// the caller is the master (runs the packing policy), leaders are
@@ -192,11 +184,7 @@ engine::FragmentResult compute_with_engine(const engine::FragmentEngine& eng,
 /// exactly-once result acceptance guaranteed by lease fencing.
 class MasterRuntime {
  public:
-  /// Worker function computing one fragment. Must be thread-compatible.
-  /// Long-running computes should poll common::current_cancel_token() (or
-  /// the solver options' token) so revoked fragments stop promptly.
-  using FragmentCompute =
-      std::function<engine::FragmentResult(const frag::Fragment&)>;
+  using FragmentCompute = runtime::FragmentCompute;
 
   explicit MasterRuntime(RuntimeOptions options);
 

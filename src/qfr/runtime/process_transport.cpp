@@ -172,57 +172,51 @@ using FragKey = std::pair<std::uint64_t, std::uint64_t>;  // (fragment, epoch)
         if (it != inflight.end()) token = it->second.token();
       }
       obs::ScopedSession worker_scope(&child_obs);
-      obs::SpanGuard span(&child_obs, "fragment.compute", "runtime");
-      span.arg("fragment", static_cast<double>(fid))
-          .arg("level", static_cast<double>(item.level))
-          .arg("leader", static_cast<double>(l));
-      WallTimer attempt;
-      wire::FailureMsg fail;
-      fail.fragment_id = item.fragment_id;
-      fail.epoch = item.epoch;
-      fail.level = item.level;
-      bool failed = false;
-      try {
-        QFR_REQUIRE(fid < drive.fragments.size() &&
-                        drive.fragments[fid].n_atoms() == item.n_atoms,
-                    "task/fragment identity mismatch on the wire");
-        token.throw_if_cancelled();
-        common::CancelScope scope(token);
-        wire::ResultMsg rm;
-        rm.fragment_id = item.fragment_id;
-        rm.epoch = item.epoch;
-        rm.level = item.level;
-        rm.result = drive.compute_at(drive.fragments[fid],
-                                     static_cast<std::size_t>(item.level));
-        rm.seconds = attempt.seconds();
-        // cache_hit/reuse_tier are deliberately not part of the serialized
-        // result record; carry them beside it so the outcome row is right.
-        rm.cache_hit = rm.result.cache_hit;
-        rm.reuse_tier = rm.result.reuse_tier;
-        send(wire::MsgType::kResult, wire::encode_result(rm));
-      } catch (const CancelledError&) {
-        wire::CancelledMsg cm;
-        cm.fragment_id = item.fragment_id;
-        cm.epoch = item.epoch;
-        send(wire::MsgType::kCancelled, wire::encode_cancelled(cm));
-      } catch (const TimeoutError& e) {
-        failed = true;
-        fail.reason = FailureReason::kTimeout;
-        fail.error = e.what();
-      } catch (const NumericalError& e) {
-        failed = true;
-        fail.reason = FailureReason::kNonConvergence;
-        fail.error = e.what();
-      } catch (const std::exception& e) {
-        failed = true;
-        fail.reason = FailureReason::kEngineError;
-        fail.error = e.what();
-      } catch (...) {
-        failed = true;
-        fail.reason = FailureReason::kEngineError;
-        fail.error = "unknown error";
+      Attempt a;
+      // The wire carries identity only: cross-check it against the
+      // fragment span that rode the fork before computing anything.
+      if (fid < drive.fragments.size() &&
+          drive.fragments[fid].n_atoms() == item.n_atoms &&
+          item.level < drive.levels.size()) {
+        const std::size_t level = static_cast<std::size_t>(item.level);
+        a = run_fragment(drive.fragments[fid], level, drive.levels[level],
+                         options.cache, token);
+      } else {
+        a.reason = FailureReason::kEngineError;
+        a.error = "task/fragment identity mismatch on the wire";
       }
-      if (failed) send(wire::MsgType::kFailure, wire::encode_failure(fail));
+      switch (a.status) {
+        case Attempt::Status::kComputed: {
+          wire::ResultMsg rm;
+          rm.fragment_id = item.fragment_id;
+          rm.epoch = item.epoch;
+          rm.level = item.level;
+          rm.seconds = a.seconds;
+          // reuse_tier is deliberately not part of the serialized result
+          // record; carry it beside it so the outcome row is right.
+          rm.reuse_tier = a.result.reuse_tier;
+          rm.result = std::move(a.result);
+          send(wire::MsgType::kResult, wire::encode_result(rm));
+          break;
+        }
+        case Attempt::Status::kFailed: {
+          wire::FailureMsg fail;
+          fail.fragment_id = item.fragment_id;
+          fail.epoch = item.epoch;
+          fail.level = item.level;
+          fail.reason = a.reason;
+          fail.error = std::move(a.error);
+          send(wire::MsgType::kFailure, wire::encode_failure(fail));
+          break;
+        }
+        case Attempt::Status::kCancelled: {
+          wire::CancelledMsg cm;
+          cm.fragment_id = item.fragment_id;
+          cm.epoch = item.epoch;
+          send(wire::MsgType::kCancelled, wire::encode_cancelled(cm));
+          break;
+        }
+      }
       {
         std::lock_guard<std::mutex> lock(mu);
         inflight.erase({item.fragment_id, item.epoch});
@@ -516,10 +510,8 @@ class ProcessTransport final : public LeaderTransport {
           if (!wire::decode_result(f.payload, &rm)) return false;
           auto it = outstanding.find({rm.fragment_id, rm.epoch});
           if (it == outstanding.end()) return true;  // already resolved
-          rm.result.cache_hit = rm.cache_hit;
           rm.result.reuse_tier = rm.reuse_tier;
-          detail::deliver_result(drive, l, it->second.lease,
-                                 static_cast<std::size_t>(rm.level),
+          detail::deliver_result(drive, it->second.lease, it->second.level,
                                  std::move(rm.result), rm.seconds);
           resolve(it);
           return true;

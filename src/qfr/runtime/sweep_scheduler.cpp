@@ -209,7 +209,6 @@ Completion SweepScheduler::on_completion(const Lease& lease,
     o.reason = FailureReason::kNone;
   }
   o.engine.assign(engine_name);
-  o.cache_hit = result.cache_hit;
   o.reuse_tier = result.reuse_tier;
   return Completion::kAccepted;
 }

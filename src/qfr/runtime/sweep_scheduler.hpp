@@ -80,11 +80,9 @@ struct FragmentOutcome {
   std::size_t engine_level = 0;
   /// Name of the engine whose result was accepted (empty if none was).
   std::string engine;
-  /// The accepted result was served by the qfr::cache result cache
-  /// instead of being computed.
-  bool cache_hit = false;
   /// Which reuse tier produced the accepted result: computed, exact cache
-  /// transport, or perturbative refresh (trajectory streaming).
+  /// transport (served by the qfr::cache result cache), or perturbative
+  /// refresh (trajectory streaming).
   engine::ReuseTier reuse_tier = engine::ReuseTier::kComputed;
   /// Validator rejections this fragment suffered (bad physics).
   std::size_t rejections = 0;

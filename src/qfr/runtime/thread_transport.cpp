@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "qfr/common/cancel.hpp"
-#include "qfr/common/error.hpp"
 #include "qfr/common/thread_pool.hpp"
 #include "qfr/common/timer.hpp"
 #include "qfr/fault/fault_injector.hpp"
@@ -62,64 +61,35 @@ void leader_main(SweepDrive& drive, std::size_t l) {
   // revoked lease are fenced out.
   auto process = [&](ActiveTask& at) {
     const balance::Task& task = at.task.items;
-    std::vector<engine::FragmentResult> local(task.size());
-    std::vector<std::string> errors(task.size());
-    std::vector<FailureReason> reasons(task.size(),
-                                       FailureReason::kEngineError);
-    std::vector<std::size_t> levels(task.size(), 0);
-    std::vector<char> ok(task.size(), 0);
-    std::vector<char> cancelled(task.size(), 0);
-    std::vector<double> seconds(task.size(), 0.0);
+    std::vector<Attempt> attempts(task.size());
     workers.parallel_for(task.size(), [&](std::size_t k) {
       const std::size_t fid = task[k].fragment_id;
       // Degraded fragments run on their fallback engine from here on.
-      levels[k] = scheduler.engine_level(fid);
+      const std::size_t level = scheduler.engine_level(fid);
       // Pool threads do not inherit the leader's thread-locals.
       obs::ScopedSession worker_scope(obs);
-      obs::SpanGuard span(obs, "fragment.compute", "runtime");
-      span.arg("fragment", static_cast<double>(fid))
-          .arg("level", static_cast<double>(levels[k]))
-          .arg("leader", static_cast<double>(l))
-          .arg("n_atoms",
-               static_cast<double>(drive.fragments[fid].n_atoms()));
-      WallTimer attempt;
-      try {
-        // Ambient token for the compute: cancellation-aware engines
-        // (SCF/CPSCF iterations) poll it and bail out mid-solve. The
-        // attempt token (supervisor revocation) is linked with the
-        // run-level token so a cancelled sweep stops in-flight computes.
-        const common::CancelToken token = common::CancelToken::linked(
-            at.tokens[k], options.cancel_token);
-        token.throw_if_cancelled();
-        common::CancelScope scope(token);
-        local[k] = drive.compute_at(drive.fragments[fid], levels[k]);
-        ok[k] = 1;
-        seconds[k] = attempt.seconds();
-      } catch (const CancelledError&) {
-        cancelled[k] = 1;
-        drive.n_cancelled->fetch_add(1, std::memory_order_relaxed);
-      } catch (const TimeoutError& e) {
-        errors[k] = e.what();
-        reasons[k] = FailureReason::kTimeout;
-      } catch (const NumericalError& e) {
-        errors[k] = e.what();
-        reasons[k] = FailureReason::kNonConvergence;
-      } catch (const std::exception& e) {
-        errors[k] = e.what();
-      } catch (...) {
-        errors[k] = "unknown error";
-      }
+      // The attempt token (supervisor revocation) is linked with the
+      // run-level token so a cancelled sweep stops in-flight computes.
+      attempts[k] = run_fragment(
+          drive.fragments[fid], level, drive.levels[level], options.cache,
+          common::CancelToken::linked(at.tokens[k], options.cancel_token));
     });
     for (std::size_t k = 0; k < task.size(); ++k) {
       const Lease& lease = at.task.leases[k];
-      if (cancelled[k]) {
-        // The lease was revoked while computing: the fragment is owned
-        // elsewhere already. Nothing to deliver, no retry consumed.
-      } else if (!ok[k]) {
-        scheduler.fail(lease, errors[k], reasons[k]);
-      } else {
-        detail::deliver_result(drive, l, lease, levels[k],
-                               std::move(local[k]), seconds[k]);
+      Attempt& a = attempts[k];
+      switch (a.status) {
+        case Attempt::Status::kComputed:
+          detail::deliver_result(drive, lease, a.level, std::move(a.result),
+                                 a.seconds);
+          break;
+        case Attempt::Status::kFailed:
+          scheduler.fail(lease, a.error, a.reason);
+          break;
+        case Attempt::Status::kCancelled:
+          // Stopped by its token (lease revoked, sweep cancelled): the
+          // fragment is owned elsewhere. Nothing to deliver, no retry used.
+          drive.n_cancelled->fetch_add(1, std::memory_order_relaxed);
+          break;
       }
       if (supervised) supervisor->release_attempt(l, lease);
     }

@@ -190,9 +190,8 @@ std::string encode_result(const ResultMsg& m) {
   put_u64(out, m.epoch);
   put_u64(out, m.level);
   put_f64(out, m.seconds);
-  put_u64(out, m.cache_hit ? 1 : 0);
   put_u64(out, static_cast<std::uint64_t>(m.reuse_tier));
-  // cache_hit/reuse_tier and phase_times ride beside the embedded record:
+  // reuse_tier and phase_times ride beside the embedded record:
   // the checkpoint record format deliberately carries neither (provenance,
   // not results), but thread-mode leaders deliver both, so the wire must
   // too for exact parity.
@@ -208,19 +207,16 @@ std::string encode_result(const ResultMsg& m) {
 
 bool decode_result(std::string_view payload, ResultMsg* m) {
   Cursor c{payload.data(), payload.size()};
-  std::uint64_t hit = 0;
   std::uint64_t tier = 0;
   dfpt::PhaseTimes phases;
   std::string record;
   if (!c.get_u64(&m->fragment_id) || !c.get_u64(&m->epoch) ||
-      !c.get_u64(&m->level) || !c.get_f64(&m->seconds) || !c.get_u64(&hit) ||
-      hit > 1 || !c.get_u64(&tier) ||
+      !c.get_u64(&m->level) || !c.get_f64(&m->seconds) || !c.get_u64(&tier) ||
       tier > static_cast<std::uint64_t>(engine::ReuseTier::kRefresh) ||
       !c.get_f64(&phases.p1) || !c.get_f64(&phases.n1) ||
       !c.get_f64(&phases.v1) || !c.get_f64(&phases.h1) ||
       !c.get_string(&record) || !c.at_end())
     return false;
-  m->cache_hit = hit == 1;
   m->reuse_tier = static_cast<engine::ReuseTier>(tier);
   std::istringstream is(record, std::ios::binary);
   // read_result_record bounds-checks matrix dimensions and requires the

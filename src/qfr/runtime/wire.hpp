@@ -27,8 +27,9 @@ namespace qfr::runtime::wire {
 /// raw IEEE-754 bytes, so results cross the wire bitwise exactly.
 
 inline constexpr std::uint32_t kMagic = 0x57524651u;  // "QFRW"
-/// v2 added the reuse_tier provenance field to kResult.
-inline constexpr std::uint32_t kVersion = 2;
+/// v2 added the reuse_tier provenance field to kResult; v3 dropped the
+/// boolean cache-hit flag that duplicated reuse_tier == kExact.
+inline constexpr std::uint32_t kVersion = 3;
 /// A fragment result is a few dense matrices; beyond this the length
 /// field itself is corrupt.
 inline constexpr std::uint64_t kMaxPayloadBytes = 1ull << 32;
@@ -116,7 +117,6 @@ struct ResultMsg {
   std::uint64_t epoch = 0;
   std::uint64_t level = 0;
   double seconds = 0.0;
-  bool cache_hit = false;
   engine::ReuseTier reuse_tier = engine::ReuseTier::kComputed;
   engine::FragmentResult result;
 };

@@ -57,14 +57,8 @@ namespace detail {
 struct EngineBundle {
   std::unique_ptr<engine::FragmentEngine> primary;
   engine::EngineFallbackChain chain;
-  std::size_t n_levels = 1;
-
-  std::string name_at(std::size_t level) const {
-    return level == 0 ? primary->name() : chain.engine(level - 1).name();
-  }
-  const engine::FragmentEngine& engine_at(std::size_t level) const {
-    return level == 0 ? *primary : chain.engine(level - 1);
-  }
+  /// primary, then the chain, as the fragment-attempt kernel runs them.
+  std::vector<runtime::EngineLevel> levels;
 };
 
 /// Server-side state of one request. Lifetime is shared between the
@@ -190,8 +184,12 @@ bool RequestHandle::cancel() {
 // ---------------------------------------------------------------------------
 // Server
 
-Server::Server(ServerOptions options)
-    : options_(std::move(options)), admission_(options_.admission) {
+Server::Server(ServerOptions options) : Server(std::move(options), nullptr) {}
+
+Server::Server(ServerOptions options, EngineFactory make_primary)
+    : options_(std::move(options)),
+      make_primary_(std::move(make_primary)),
+      admission_(options_.admission) {
   QFR_REQUIRE(options_.n_leaders >= 1, "server needs at least one leader");
   if (options_.cache.enabled)
     cache_ = std::make_unique<cache::ResultCache>(options_.cache);
@@ -220,10 +218,19 @@ detail::EngineBundle& Server::bundle_locked(qframan::EngineKind kind) {
   std::unique_ptr<detail::EngineBundle>& slot = bundles_[kind];
   if (slot == nullptr) {
     auto b = std::make_unique<detail::EngineBundle>();
-    b->primary = qframan::make_engine(kind, options_.batched_gemm);
+    b->primary = make_primary_
+                     ? make_primary_(kind)
+                     : qframan::make_engine(kind, options_.batched_gemm);
+    QFR_REQUIRE(b->primary != nullptr, "engine factory returned null");
     if (options_.enable_fallback)
       b->chain = qframan::make_fallback_chain(kind, options_.batched_gemm);
-    b->n_levels = 1 + b->chain.size();
+    const engine::FragmentEngine& primary = *b->primary;
+    b->levels = runtime::make_engine_levels(
+        {[&primary](const frag::Fragment& f) {
+           return runtime::compute_with_engine(primary, f);
+         },
+         primary.name()},
+        &b->chain);
     slot = std::move(b);
   }
   return *slot;
@@ -280,10 +287,11 @@ RequestHandle Server::submit(SpectrumRequest request) {
 
   detail::EngineBundle& bundle = bundle_locked(ctx->req.engine);
   ctx->bundle = &bundle;
-  if (decision == AdmitDecision::kAdmitShed && bundle.n_levels > 1) {
+  const std::size_t n_levels = bundle.levels.size();
+  if (decision == AdmitDecision::kAdmitShed && n_levels > 1) {
     ctx->shed = true;
     ctx->shed_level =
-        std::min(options_.max_shed_levels, bundle.n_levels - 1);
+        std::min(options_.max_shed_levels, n_levels - 1);
     ++stats_.shed;
   }
   const double budget = ctx->req.deadline_seconds > 0.0
@@ -330,7 +338,7 @@ void Server::ensure_started(const CtxPtr& ctx) {
       runtime::SweepOptions sopts;
       sopts.straggler_timeout = options_.straggler_timeout;
       sopts.max_retries = options_.max_retries;
-      sopts.n_engine_levels = c.bundle->n_levels;
+      sopts.n_engine_levels = c.bundle->levels.size();
       sopts.initial_engine_level = c.shed_level;
       sopts.validator = validator_.get();
       sopts.retry_backoff_base = options_.retry_backoff_base;
@@ -353,20 +361,6 @@ void Server::ensure_started(const CtxPtr& ctx) {
       c.start_error = e.what();
     }
   });
-}
-
-engine::FragmentResult Server::compute_at(detail::RequestCtx& ctx,
-                                          const frag::Fragment& fragment,
-                                          std::size_t level) {
-  auto raw = [&]() -> engine::FragmentResult {
-    return runtime::compute_with_engine(ctx.bundle->engine_at(level),
-                                        fragment);
-  };
-  if (cache_ == nullptr) return raw();
-  // Namespaced by the level's engine name, shared across tenants: a
-  // geometry one request already paid for is a hit for every other.
-  return cache_->get_or_compute(ctx.bundle->name_at(level), fragment.mol,
-                                raw);
 }
 
 bool Server::process(std::size_t leader, const CtxPtr& ctx) {
@@ -401,33 +395,32 @@ bool Server::process(std::size_t leader, const CtxPtr& ctx) {
   obs::ScopedSession ambient(ctx->session.get());
   ctx->inflight.fetch_add(1, std::memory_order_acq_rel);
   for (std::size_t k = 0; k < task.size(); ++k) {
-    const balance::WorkItem& item = task.items[k];
+    const std::size_t fid = task.items[k].fragment_id;
     const runtime::Lease& lease = task.leases[k];
-    const frag::Fragment& fragment =
-        ctx->fragmentation.fragments[item.fragment_id];
-    const std::size_t level = sched.engine_level(item.fragment_id);
-    WallTimer timer;
-    try {
-      const common::CancelToken token = ctx->cancel.token();
-      token.throw_if_cancelled();
-      common::CancelScope scope(token);
-      obs::SpanGuard span(ctx->session.get(), "serve.fragment", "serve");
-      engine::FragmentResult result = compute_at(*ctx, fragment, level);
-      if (sched.on_completion(lease, result, ctx->bundle->name_at(level)) ==
-          runtime::Completion::kAccepted) {
-        ctx->frag_seconds[item.fragment_id] = timer.seconds();
-        ctx->results[item.fragment_id] = std::move(result);
-      }
-    } catch (const CancelledError&) {
-      // Deadline/cancel fired mid-compute; cancel_pending already fenced
-      // the lease, so there is nothing to report.
-      ctx->n_compute_cancelled.fetch_add(1, std::memory_order_relaxed);
-    } catch (const TimeoutError& e) {
-      sched.fail(lease, e.what(), runtime::FailureReason::kTimeout);
-    } catch (const NumericalError& e) {
-      sched.fail(lease, e.what(), runtime::FailureReason::kNonConvergence);
-    } catch (const std::exception& e) {
-      sched.fail(lease, e.what(), runtime::FailureReason::kEngineError);
+    const std::size_t level = sched.engine_level(fid);
+    const runtime::EngineLevel& engine = ctx->bundle->levels[level];
+    // Cache entries are namespaced by the level's engine name and shared
+    // across tenants: a geometry one request already paid for is a hit
+    // for every other.
+    runtime::Attempt a =
+        runtime::run_fragment(ctx->fragmentation.fragments[fid], level, engine,
+                              cache_.get(), ctx->cancel.token());
+    switch (a.status) {
+      case runtime::Attempt::Status::kComputed:
+        if (sched.on_completion(lease, a.result, engine.name) ==
+            runtime::Completion::kAccepted) {
+          ctx->frag_seconds[fid] = a.seconds;
+          ctx->results[fid] = std::move(a.result);
+        }
+        break;
+      case runtime::Attempt::Status::kFailed:
+        sched.fail(lease, a.error, a.reason);
+        break;
+      case runtime::Attempt::Status::kCancelled:
+        // Deadline/cancel fired mid-compute; cancel_pending already fenced
+        // the lease, so there is nothing to report.
+        ctx->n_compute_cancelled.fetch_add(1, std::memory_order_relaxed);
+        break;
     }
   }
   ctx->inflight.fetch_sub(1, std::memory_order_acq_rel);
@@ -516,7 +509,7 @@ void Server::maybe_finalize(const CtxPtr& ctx) {
   rep.admit_status = c.admit_status;
   rep.shed = c.shed;
   rep.engine_level_start = c.shed_level;
-  rep.engine = c.bundle != nullptr ? c.bundle->name_at(0) : "";
+  rep.engine = c.bundle != nullptr ? c.bundle->levels[0].name : "";
   rep.submitted_at = c.submitted_at;
   rep.started_at = started ? c.started_at : -1.0;
   rep.finished_at = clock_.seconds();
@@ -558,7 +551,8 @@ void Server::maybe_finalize(const CtxPtr& ctx) {
     rep.n_failed = sched.n_failed();
     rep.outcomes = sched.outcomes();
     for (const runtime::FragmentOutcome& o : rep.outcomes)
-      if (o.completed && o.cache_hit) ++rep.n_cache_hits;
+      if (o.completed && o.reuse_tier == engine::ReuseTier::kExact)
+        ++rep.n_cache_hits;
 
     if (st == RequestState::kCompleted && rep.n_failed > 0) {
       st = RequestState::kFailed;

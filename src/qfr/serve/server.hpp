@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -249,7 +250,15 @@ struct ServerStats {
 /// Thread safe. Destruction drains: ~Server() == shutdown(true).
 class Server {
  public:
+  /// Makes the primary (level 0) engine of a request's EngineKind.
+  using EngineFactory = std::function<std::unique_ptr<engine::FragmentEngine>(
+      qframan::EngineKind)>;
+
   explicit Server(ServerOptions options = {});
+  /// Serve with `make_primary` in place of qframan::make_engine for every
+  /// request's primary engine (custom or instrumented engines); the
+  /// fallback chain still follows the request's EngineKind.
+  Server(ServerOptions options, EngineFactory make_primary);
   ~Server();
 
   Server(const Server&) = delete;
@@ -283,9 +292,6 @@ class Server {
   std::vector<CtxPtr> ordered_active();
   void ensure_started(const CtxPtr& ctx);
   bool process(std::size_t leader, const CtxPtr& ctx);
-  engine::FragmentResult compute_at(detail::RequestCtx& ctx,
-                                    const frag::Fragment& fragment,
-                                    std::size_t level);
   /// First-wins terminal transition for cancel/deadline/shutdown; fires
   /// the request CancelSource and cancels the scheduler.
   bool request_cancel(const CtxPtr& ctx, RequestState terminal,
@@ -296,6 +302,7 @@ class Server {
   void maybe_finalize(const CtxPtr& ctx);
 
   ServerOptions options_;
+  EngineFactory make_primary_;
   WallTimer clock_;
   std::unique_ptr<cache::ResultCache> cache_;
   std::unique_ptr<fault::FragmentResultValidator> validator_;

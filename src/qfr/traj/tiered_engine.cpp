@@ -56,7 +56,6 @@ engine::FragmentResult TieredReuseEngine::compute_tiered(
     exact_.fetch_add(1, std::memory_order_relaxed);
     bump("qfr.traj.tier_exact");
     engine::FragmentResult out = cache::to_lab_frame(*canonical, c);
-    out.cache_hit = true;
     out.reuse_tier = engine::ReuseTier::kExact;
     return out;
   }
@@ -106,7 +105,6 @@ engine::FragmentResult TieredReuseEngine::compute_tiered(
     out.dalpha -= m_old.dalpha;
     out.dmu += m_new.dmu;
     out.dmu -= m_old.dmu;
-    out.cache_hit = false;
     out.reuse_tier = engine::ReuseTier::kRefresh;
 
     const bool ok =
@@ -128,7 +126,7 @@ engine::FragmentResult TieredReuseEngine::compute_tiered(
   // concurrent leader may have published the key meanwhile, in which
   // case the result comes back as an exact transport.
   engine::FragmentResult out = cache_.get_or_compute(ns, mol, full);
-  if (out.cache_hit) {
+  if (out.reuse_tier == engine::ReuseTier::kExact) {
     exact_.fetch_add(1, std::memory_order_relaxed);
     bump("qfr.traj.tier_exact");
   } else {

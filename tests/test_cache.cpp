@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "qfr/cache/caching_engine.hpp"
 #include "qfr/cache/canonical.hpp"
 #include "qfr/cache/store.hpp"
 #include "qfr/chem/molecule.hpp"
@@ -246,7 +245,7 @@ TEST(Canonical, BackRotatedHitMatchesDirectComputeOfRotatedPose) {
 
     const auto served = cache.lookup(eng.name(), b);
     ASSERT_TRUE(served.has_value()) << "trial " << trial;
-    EXPECT_TRUE(served->cache_hit);
+    EXPECT_EQ(served->reuse_tier, engine::ReuseTier::kExact);
 
     const FragmentResult direct = eng.compute(b);
     EXPECT_NEAR(served->energy, direct.energy, 1e-10);
@@ -297,13 +296,13 @@ TEST(Store, SecondRequestIsServedFromCache) {
     return eng.compute(w);
   };
   const FragmentResult first = cache.get_or_compute("model", w, compute);
-  EXPECT_FALSE(first.cache_hit);
+  EXPECT_EQ(first.reuse_tier, engine::ReuseTier::kComputed);
   // A rotated copy hits the same entry.
   Rng rng(1);
   const Molecule moved = rigid_image(w, random_rotation(rng), {5, 6, 7},
                                      random_permutation(w.size(), rng));
   const FragmentResult second = cache.get_or_compute("model", moved, compute);
-  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(second.reuse_tier, engine::ReuseTier::kExact);
   EXPECT_EQ(computes.load(), 1);
   EXPECT_NEAR(second.energy, first.energy, 1e-12);
   const CacheStats s = cache.stats();
@@ -416,7 +415,7 @@ TEST(Store, SingleFlightManyThreadsOneCompute) {
         return eng.compute(mine);
       });
       energies[t] = r.energy;
-      if (r.cache_hit) ++hits;
+      if (r.reuse_tier == engine::ReuseTier::kExact) ++hits;
     });
   }
   for (auto& th : threads) th.join();
@@ -450,7 +449,7 @@ TEST(Store, FailedLeaderWakesWaitersWithoutPoisoningTheKey) {
     engine::ModelEngine eng;
     return eng.compute(w);
   });
-  EXPECT_FALSE(ok.cache_hit);
+  EXPECT_EQ(ok.reuse_tier, engine::ReuseTier::kComputed);
   EXPECT_EQ(calls.load(), 2);
 
   // Threaded variant: a slow failing leader plus waiters; every waiter
@@ -504,7 +503,7 @@ TEST(Store, NonFiniteAndFilteredResultsAreNeverCached) {
   const FragmentResult r = cache.get_or_compute("model", w, [&] {
     return engine::ModelEngine().compute(w);
   });
-  EXPECT_FALSE(r.cache_hit);
+  EXPECT_EQ(r.reuse_tier, engine::ReuseTier::kComputed);
   EXPECT_FALSE(cache.lookup("model", w).has_value());
   EXPECT_GE(cache.stats().insert_rejects, 2);
 }
@@ -628,28 +627,6 @@ TEST(PersistentStore, CompactRewritesExactlyTheLiveEntries) {
 }
 
 // ---------------------------------------------------------------------
-// CachingEngine decorator.
-// ---------------------------------------------------------------------
-
-TEST(CachingEngineTest, DecoratorDeduplicatesAndStaysTransparent) {
-  ResultCache cache(mem_opts());
-  const engine::ModelEngine inner;
-  const CachingEngine cached(inner, cache);
-  EXPECT_EQ(cached.name(), inner.name());
-
-  const Molecule a = chem::make_water({0, 0, 0}, 0.1);
-  Rng rng(17);
-  const Molecule b = rigid_image(a, random_rotation(rng), {8, -3, 2},
-                                 random_permutation(a.size(), rng));
-  const FragmentResult ra = cached.compute(a);
-  const FragmentResult rb = cached.compute(7, b);
-  EXPECT_FALSE(ra.cache_hit);
-  EXPECT_TRUE(rb.cache_hit);
-  EXPECT_NEAR(rb.energy, ra.energy, 1e-12);
-  EXPECT_EQ(cache.stats().hits, 1);
-}
-
-// ---------------------------------------------------------------------
 // Runtime integration.
 // ---------------------------------------------------------------------
 
@@ -683,11 +660,7 @@ TEST(RuntimeCache, DuplicateFragmentsAreServedFromCacheAndCounted) {
   ASSERT_EQ(rep.n_failed(), 0u);
   // Every monomer after the first compute is a hit (single flight also
   // collapses concurrent first requests to one compute).
-  EXPECT_EQ(rep.n_cache_hits(), n_frag - 1);
-  std::size_t flagged = 0;
-  for (const auto& o : rep.outcomes)
-    if (o.cache_hit) ++flagged;
-  EXPECT_EQ(flagged, n_frag - 1);
+  EXPECT_EQ(rep.n_reuse_exact(), n_frag - 1);
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.hits, static_cast<std::int64_t>(n_frag - 1));
   EXPECT_EQ(s.misses, 1);
@@ -696,7 +669,7 @@ TEST(RuntimeCache, DuplicateFragmentsAreServedFromCacheAndCounted) {
   EXPECT_EQ(session.metrics().counter_value("qfr.cache.hits"),
             static_cast<std::int64_t>(n_frag - 1));
   EXPECT_EQ(session.metrics().counter_value("qfr.cache.misses"), 1);
-  EXPECT_EQ(session.metrics().counter_value("sched.cache_hits"),
+  EXPECT_EQ(session.metrics().counter_value("sched.reuse_exact"),
             static_cast<std::int64_t>(n_frag - 1));
   // All results identical physics: same energy everywhere.
   for (std::size_t id = 1; id < n_frag; ++id)
@@ -783,7 +756,7 @@ TEST(WorkflowCache, CachedSweepReproducesUncachedSpectrum) {
 
   const qframan::WorkflowResult uncached =
       qframan::RamanWorkflow(base).run(sys);
-  EXPECT_EQ(uncached.sweep.n_cache_hits, 0u);
+  EXPECT_EQ(uncached.sweep.n_reuse_exact, 0u);
 
   qframan::WorkflowOptions with_cache = base;
   with_cache.cache.enabled = true;
@@ -793,8 +766,8 @@ TEST(WorkflowCache, CachedSweepReproducesUncachedSpectrum) {
   // >= 80% of the water-class computes came from the cache (here: all
   // but the very first).
   const std::size_t n = sys.waters.size();
-  EXPECT_EQ(cached.sweep.n_cache_hits, n - 1);
-  EXPECT_GE(static_cast<double>(cached.sweep.n_cache_hits),
+  EXPECT_EQ(cached.sweep.n_reuse_exact, n - 1);
+  EXPECT_GE(static_cast<double>(cached.sweep.n_reuse_exact),
             0.8 * static_cast<double>(n));
 
   ASSERT_EQ(cached.spectrum.intensity.size(),

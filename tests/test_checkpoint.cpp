@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
@@ -27,16 +26,51 @@ std::vector<engine::FragmentResult> sample_results() {
   return results;
 }
 
+// Writes `results` as fragments 0..n-1 and scans them back.
+CheckpointReport round_trip(
+    const std::vector<engine::FragmentResult>& results) {
+  std::stringstream ss;
+  CheckpointWriter writer(ss);
+  for (std::size_t i = 0; i < results.size(); ++i)
+    writer.append(i, results[i]);
+  return scan_checkpoint(ss);
+}
+
+// A v4 stream relabelled with another format version: the header is
+// intact, only the version differs.
+std::string with_version(std::uint64_t version) {
+  std::stringstream ss;
+  CheckpointWriter writer(ss);
+  writer.append(7, sample_results()[0]);
+  std::string data = ss.str();
+  std::memcpy(data.data() + 8, &version, sizeof(version));
+  return data;
+}
+
+// The rejection names the version found and the version expected.
+void expect_version_rejected(std::uint64_t version) {
+  std::stringstream old(with_version(version));
+  try {
+    scan_checkpoint(old);
+    ADD_FAILURE() << "version " << version << " was accepted";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("got " + std::to_string(version)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("expected 4"), std::string::npos) << what;
+  }
+}
+
 TEST(Checkpoint, RoundTripPreservesEverything) {
   const auto original = sample_results();
-  std::stringstream ss;
-  save_results(ss, original);
-  const LoadReport report = load_results(ss);
-  EXPECT_EQ(report.n_dropped, 0u);
+  const CheckpointReport report = round_trip(original);
+  EXPECT_FALSE(report.truncated);
+  EXPECT_EQ(report.n_corrupt, 0u);
   ASSERT_EQ(report.results.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     const auto& a = original[i];
     const auto& b = report.results[i];
+    EXPECT_EQ(report.fragment_ids[i], i);
     EXPECT_DOUBLE_EQ(a.energy, b.energy);
     EXPECT_EQ(a.flops, b.flops);
     EXPECT_EQ(a.displacement_tasks, b.displacement_tasks);
@@ -50,40 +84,39 @@ TEST(Checkpoint, RoundTripPreservesEverything) {
 TEST(Checkpoint, TruncatedStreamDropsTail) {
   const auto original = sample_results();
   std::stringstream ss;
-  save_results(ss, original);
+  CheckpointWriter writer(ss);
+  writer.append(0, original[0]);
+  writer.append(1, original[1]);
   std::string data = ss.str();
   // Chop into the middle of the second record.
   data.resize(data.size() - 100);
   std::stringstream cut(data);
-  const LoadReport report = load_results(cut);
-  EXPECT_EQ(report.results.size(), 1u);
-  EXPECT_EQ(report.n_dropped, 1u);
+  const CheckpointReport report = scan_checkpoint(cut);
+  EXPECT_TRUE(report.truncated);
+  ASSERT_EQ(report.results.size(), 1u);
   // The surviving record is intact.
   EXPECT_DOUBLE_EQ(report.results[0].energy, original[0].energy);
 }
 
 TEST(Checkpoint, RejectsGarbage) {
   std::stringstream ss("this is not a checkpoint");
-  EXPECT_THROW(load_results(ss), InvalidArgument);
+  EXPECT_THROW(scan_checkpoint(ss), InvalidArgument);
 }
 
-TEST(Checkpoint, RejectsWrongVersion) {
-  const auto original = sample_results();
-  std::stringstream ss;
-  save_results(ss, original);
-  std::string data = ss.str();
-  data[8] = 99;  // clobber the version field
-  std::stringstream bad(data);
-  EXPECT_THROW(load_results(bad), InvalidArgument);
-}
+TEST(Checkpoint, RejectsWrongVersion) { expect_version_rejected(99); }
 
 TEST(Checkpoint, FileRoundTrip) {
   const auto original = sample_results();
   const std::string path = "/tmp/qfr_checkpoint_test.bin";
-  save_results_file(path, original);
-  const LoadReport report = load_results_file(path);
+  {
+    CheckpointWriter writer(path);
+    for (std::size_t i = 0; i < original.size(); ++i)
+      writer.append(i, original[i]);
+  }
+  const CheckpointReport report = scan_checkpoint_file(path);
   EXPECT_EQ(report.results.size(), original.size());
-  EXPECT_EQ(report.n_dropped, 0u);
+  EXPECT_FALSE(report.truncated);
+  EXPECT_EQ(report.n_corrupt, 0u);
 }
 
 TEST(Checkpoint, RestartProducesIdenticalAssembly) {
@@ -98,10 +131,9 @@ TEST(Checkpoint, RestartProducesIdenticalAssembly) {
   for (const auto& f : fr.fragments)
     results.push_back(eng.compute_with_topology(f.mol, f.bonds));
 
-  std::stringstream ss;
-  save_results(ss, results);
-  const LoadReport loaded = load_results(ss);
-  ASSERT_EQ(loaded.n_dropped, 0u);
+  const CheckpointReport loaded = round_trip(results);
+  ASSERT_FALSE(loaded.truncated);
+  ASSERT_EQ(loaded.results.size(), results.size());
 
   const auto direct =
       assemble_global_properties(sys, fr.fragments, results);
@@ -115,11 +147,11 @@ TEST(Checkpoint, RestartProducesIdenticalAssembly) {
 }
 
 TEST(Checkpoint, EmptyResultSetRoundTrips) {
-  std::stringstream ss;
-  save_results(ss, {});
-  const LoadReport report = load_results(ss);
+  const CheckpointReport report = round_trip({});
   EXPECT_TRUE(report.results.empty());
-  EXPECT_EQ(report.n_dropped, 0u);
+  EXPECT_TRUE(report.fragment_ids.empty());
+  EXPECT_FALSE(report.truncated);
+  EXPECT_EQ(report.n_corrupt, 0u);
 }
 
 TEST(IncrementalCheckpoint, AppendScanRoundTrip) {
@@ -130,7 +162,7 @@ TEST(IncrementalCheckpoint, AppendScanRoundTrip) {
   writer.append(1, original[1]);
   EXPECT_EQ(writer.n_written(), 2u);
 
-  const ScanReport scan = scan_checkpoint(ss);
+  const CheckpointReport scan = scan_checkpoint(ss);
   EXPECT_FALSE(scan.truncated);
   ASSERT_EQ(scan.fragment_ids.size(), 2u);
   EXPECT_EQ(scan.fragment_ids[0], 4u);  // append order, ids out of order OK
@@ -149,7 +181,7 @@ TEST(IncrementalCheckpoint, TruncatedTailDroppedAndFlagged) {
   std::string data = ss.str();
   data.resize(data.size() - 37);  // kill the run mid-record
   std::stringstream cut(data);
-  const ScanReport scan = scan_checkpoint(cut);
+  const CheckpointReport scan = scan_checkpoint(cut);
   EXPECT_TRUE(scan.truncated);
   ASSERT_EQ(scan.fragment_ids.size(), 1u);  // completed prefix survives
   EXPECT_EQ(scan.fragment_ids[0], 0u);
@@ -160,7 +192,6 @@ TEST(IncrementalCheckpoint, TruncatedTailDroppedAndFlagged) {
 //   header: [magic u64][version u64]
 //   frame:  [fragment id u64][payload len u64][payload][crc u64]
 constexpr std::size_t kHeaderBytes = 16;
-constexpr std::size_t kFrameOverhead = 24;  // id + len + crc
 
 std::uint64_t read_u64(const std::string& data, std::size_t offset) {
   std::uint64_t v = 0;
@@ -181,7 +212,7 @@ TEST(IncrementalCheckpoint, SingleBitFlipLosesOnlyThatRecord) {
   data[kHeaderBytes + 16 + len0 / 2] ^= 0x10;
 
   std::stringstream damaged(data);
-  const ScanReport scan = scan_checkpoint(damaged);
+  const CheckpointReport scan = scan_checkpoint(damaged);
   EXPECT_FALSE(scan.truncated);
   EXPECT_EQ(scan.n_corrupt, 1u);
   ASSERT_EQ(scan.corrupt_ids.size(), 1u);
@@ -205,61 +236,17 @@ TEST(IncrementalCheckpoint, CorruptLengthFieldStopsScanAsTruncated) {
   // cannot safely reach record 1.
   data[kHeaderBytes + 8 + 6] = static_cast<char>(0xFF);
   std::stringstream damaged(data);
-  const ScanReport scan = scan_checkpoint(damaged);
+  const CheckpointReport scan = scan_checkpoint(damaged);
   EXPECT_TRUE(scan.truncated);
   EXPECT_TRUE(scan.fragment_ids.empty());
 }
 
-TEST(IncrementalCheckpoint, LegacyUnframedVersionStillReadable) {
-  // Rebuild the pre-CRC v3 layout from a v4 stream: same header magic with
-  // version 3, records as bare [id][payload] with no length or checksum.
-  const auto original = sample_results();
-  std::stringstream ss;
-  CheckpointWriter writer(ss);
-  writer.append(7, original[0]);
-  writer.append(3, original[1]);
-  const std::string v4 = ss.str();
-
-  std::string legacy = v4.substr(0, kHeaderBytes);
-  const std::uint64_t v3 = 3;
-  std::memcpy(legacy.data() + 8, &v3, sizeof(v3));
-  std::size_t at = kHeaderBytes;
-  while (at < v4.size()) {
-    const std::uint64_t len = read_u64(v4, at + 8);
-    legacy.append(v4, at, 8);             // fragment id
-    legacy.append(v4, at + 16, len);      // payload, unframed
-    at += kFrameOverhead + len;
-  }
-
-  std::stringstream old(legacy);
-  const ScanReport scan = scan_checkpoint(old);
-  EXPECT_FALSE(scan.truncated);
-  EXPECT_EQ(scan.n_corrupt, 0u);
-  ASSERT_EQ(scan.fragment_ids.size(), 2u);
-  EXPECT_EQ(scan.fragment_ids[0], 7u);
-  EXPECT_EQ(scan.fragment_ids[1], 3u);
-  EXPECT_DOUBLE_EQ(scan.results[0].energy, original[0].energy);
-  EXPECT_LT(la::max_abs_diff(scan.results[1].hessian, original[1].hessian),
-            1e-300);
-}
-
-TEST(Checkpoint, SnapshotSaveIsAtomic) {
-  const std::string path = "/tmp/qfr_checkpoint_atomic_test.bin";
-  std::filesystem::remove(path);
-  std::filesystem::remove(path + ".tmp");
-  save_results_file(path, sample_results());
-  // The write went through a temp file that the rename consumed.
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  EXPECT_TRUE(std::filesystem::exists(path));
-  const LoadReport report = load_results_file(path);
-  EXPECT_EQ(report.results.size(), 2u);
-  EXPECT_EQ(report.n_dropped, 0u);
+TEST(IncrementalCheckpoint, LegacyUnframedVersionIsRejected) {
+  expect_version_rejected(3);  // pre-CRC append-only stream
 }
 
 TEST(IncrementalCheckpoint, ScanRejectsWholeVectorFormat) {
-  std::stringstream ss;
-  save_results(ss, sample_results());  // v2, not the incremental format
-  EXPECT_THROW(scan_checkpoint(ss), InvalidArgument);
+  expect_version_rejected(2);  // whole-vector snapshot
 }
 
 TEST(IncrementalCheckpoint, RuntimeCrashThenResumeRecomputesOnlyMissing) {
@@ -297,7 +284,7 @@ TEST(IncrementalCheckpoint, RuntimeCrashThenResumeRecomputesOnlyMissing) {
 
   // Resume: seed the scheduler with the checkpointed ids and count the
   // compute invocations — only fragment 4 may run.
-  const ScanReport scan = scan_checkpoint_file(path);
+  const CheckpointReport scan = scan_checkpoint_file(path);
   EXPECT_FALSE(scan.truncated);
   ASSERT_EQ(scan.fragment_ids.size(), 5u);
 

@@ -523,9 +523,9 @@ TEST(Export, OutcomesCsvQuotesAndAlignsSeconds) {
   // Header + 2 data rows; embedded comma/quote/newline stay in one field.
   EXPECT_NE(text.find("fragment_id,completed,engine,engine_level,reason,"
                       "attempts,rejections,fault_retries,from_checkpoint,"
-                      "cache_hit,reuse_tier,wall_seconds,error"),
+                      "reuse_tier,wall_seconds,error"),
             std::string::npos);
-  EXPECT_NE(text.find("0,1,scf_hf,0,none,1,0,0,0,0,computed,0.250000,"),
+  EXPECT_NE(text.find("0,1,scf_hf,0,none,1,0,0,0,computed,0.250000,"),
             std::string::npos);
   EXPECT_NE(text.find("\"diverged, badly \"\"quoted\"\"\""),
             std::string::npos);

@@ -3,14 +3,16 @@
 // happy path (three-way parity with the threaded runtime and the DES
 // mirror), under real SIGKILL chaos (exactly-once, validator-gated
 // acceptance with crashes actually observed), with an unsupervised master
-// (inline revoke + respawn), and for the shared persistent cache store
-// (two processes appending/compacting one file, no lost records).
+// (inline revoke + respawn), for engine exceptions (the same outcome per
+// exception class as leader threads), and for the shared persistent cache
+// store (two processes appending/compacting one file, no lost records).
 //
 // NOTE for sanitizer CI: these tests fork() from a multi-threaded gtest
 // process, which TSan does not model — they run under ASan/UBSan but are
 // excluded from the TSan leg (see scripts/ci.sh).
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -21,11 +23,13 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "attempt_probe.hpp"
 #include "qfr/cache/store.hpp"
 #include "qfr/chem/molecule.hpp"
 #include "qfr/cluster/des.hpp"
@@ -34,6 +38,7 @@
 #include "qfr/fault/fault_injector.hpp"
 #include "qfr/fault/validator.hpp"
 #include "qfr/frag/fragmentation.hpp"
+#include "qfr/part/policy.hpp"
 #include "qfr/runtime/master_runtime.hpp"
 #include "qfr/runtime/result_sink.hpp"
 #include "qfr/runtime/supervisor.hpp"
@@ -133,6 +138,47 @@ TEST(ProcessParity, ThreadedProcessAndDesAgreeOnOneSweep) {
   std::set<std::size_t> covered;
   for (const auto& task : des.task_log) covered.insert(task.begin(), task.end());
   EXPECT_EQ(covered.size(), n_frag);
+}
+
+// ---------------------------------------------------------------------
+// Exception mapping: leader processes run the same fragment-attempt
+// kernel as leader threads, so every engine exception class ends in the
+// same outcome on both (the serve host is covered in
+// test_fragment_attempt.cpp).
+// ---------------------------------------------------------------------
+
+TEST(FragmentAttempt, ProcessLeadersMapExceptionsLikeThreadLeaders) {
+  using namespace qfr::attempt_probe;
+  const frag::Fragmentation fr = part::fragment_system(probe_system(), {});
+  ASSERT_EQ(fr.fragments.size(), kFragments);
+
+  auto run_with = [&](TransportKind transport) {
+    // The once-only cancel counter must be seen by every forked leader.
+    void* shared = ::mmap(nullptr, sizeof(std::atomic<int>),
+                          PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS,
+                          -1, 0);
+    EXPECT_NE(shared, MAP_FAILED);
+    auto* cancel_throws = new (shared) std::atomic<int>(0);
+    const ThrowingEngine eng(cancel_throws);
+    RuntimeOptions ropts;
+    ropts.n_leaders = 2;
+    ropts.transport = transport;
+    ropts.max_retries = kMaxRetries;
+    ropts.straggler_timeout = kStragglerTimeout;
+    ropts.abort_on_failure = false;
+    RunReport rep = MasterRuntime(std::move(ropts)).run(fr.fragments, eng);
+    ::munmap(shared, sizeof(std::atomic<int>));
+    return rep;
+  };
+
+  const RunReport threaded = run_with(TransportKind::kThread);
+  const RunReport process = run_with(TransportKind::kProcess);
+  expect_probe_outcomes(process.outcomes, "process");
+  EXPECT_EQ(process.n_retries, 4u);
+  EXPECT_EQ(process.n_requeued, 1u);
+  EXPECT_EQ(process.n_cancelled, 1u);
+  EXPECT_EQ(process.n_leader_crashes, 0u);
+  expect_same_outcomes(threaded.outcomes, process.outcomes);
 }
 
 // ---------------------------------------------------------------------

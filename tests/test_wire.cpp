@@ -92,7 +92,6 @@ TEST(Wire, ResultRoundTripIsBitwiseExact) {
   in.epoch = 7;
   in.level = 1;
   in.seconds = 0.037251234;
-  in.cache_hit = true;
   in.reuse_tier = engine::ReuseTier::kRefresh;
   in.result = sample_result(3);
   const Frame f =
@@ -104,7 +103,6 @@ TEST(Wire, ResultRoundTripIsBitwiseExact) {
   EXPECT_EQ(out.epoch, in.epoch);
   EXPECT_EQ(out.level, in.level);
   EXPECT_EQ(out.seconds, in.seconds);  // bitwise: == on doubles on purpose
-  EXPECT_EQ(out.cache_hit, in.cache_hit);
   EXPECT_EQ(out.reuse_tier, in.reuse_tier);
   EXPECT_EQ(out.result.energy, in.result.energy);
   ASSERT_EQ(out.result.hessian.rows(), in.result.hessian.rows());
@@ -341,9 +339,9 @@ TEST(Wire, OutOfRangeReuseTierIsRejected) {
   r.reuse_tier = engine::ReuseTier::kExact;
   r.result = sample_result(2);
   std::string payload = encode_result(r);
-  // The tier u64 sits after fragment_id/epoch/level/seconds/cache_hit.
+  // The tier u64 sits after fragment_id/epoch/level/seconds.
   const std::uint64_t bogus = 3;  // one past kRefresh
-  std::memcpy(&payload[40], &bogus, sizeof(bogus));
+  std::memcpy(&payload[32], &bogus, sizeof(bogus));
   ResultMsg out;
   EXPECT_FALSE(decode_result(payload, &out));
 }

@@ -422,8 +422,8 @@ TEST(Workflow, ObservabilityArtifactsFromScfHfRun) {
   ASSERT_TRUE(std::getline(csv, line));
   EXPECT_EQ(line,
             "fragment_id,completed,engine,engine_level,reason,attempts,"
-            "rejections,fault_retries,from_checkpoint,cache_hit,"
-            "reuse_tier,wall_seconds,error,policy");
+            "rejections,fault_retries,from_checkpoint,reuse_tier,"
+            "wall_seconds,error,policy");
   std::size_t rows = 0;
   while (std::getline(csv, line)) {
     if (line.empty()) continue;

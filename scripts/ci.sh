@@ -232,6 +232,11 @@ fi
 # packing under ASan, ISA-dispatch atomics under TSan), and the
 # fragment-attempt kernel's exception mapping on thread leaders and the
 # serve pool (its process-leader half lives in test_process_runtime).
+# The integral and gradient suites ride the ASan/UBSan legs only: the ERI
+# kernel's flat W buffer and packed Hermite terms, the gradient's
+# transposed derivative-block strides, and its shape checks on SCF states
+# from another molecule are exactly the out-of-bounds risk those legs
+# catch, and both suites are single-threaded, so TSan adds nothing.
 ROBUSTNESS_TESTS=(test_fault test_checkpoint test_scheduler test_tracker
                   test_supervisor test_obs test_cache test_kernels
                   test_wire test_fragment_attempt)
@@ -248,7 +253,8 @@ for SAN in address undefined thread; do
   # it runs under ASan and UBSan only. The serve suite rides the same
   # legs: its chaos replay is wall-clock paced, and TSan's scheduling
   # skew starves the deadline/cancel storms it exists to exercise.
-  [[ "$SAN" != thread ]] && SAN_TESTS+=(test_process_runtime test_serve)
+  [[ "$SAN" != thread ]] && SAN_TESTS+=(test_process_runtime test_serve
+                                        test_integrals test_gradients)
   echo "== robustness under ${SAN} sanitizer (${BUILD}) =="
   cmake -B "$BUILD" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -1,6 +1,9 @@
 #include "qfr/integrals/eri.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "qfr/common/error.hpp"
 #include "qfr/common/units.hpp"
@@ -11,104 +14,127 @@ namespace qfr::ints {
 namespace {
 
 using basis::BasisSet;
-using basis::CartPowers;
 using basis::Shell;
+
+// One Hermite term E^{ij}_t E^{kl}_u E^{mn}_v of a function pair's
+// product expansion.
+struct HermiteTerm {
+  double e = 0.0;
+  int t = 0, u = 0, v = 0;
+};
+
+// The Hermite expansion of one primitive pair: combined exponent and
+// center, contraction weight, and the nonzero terms of every function pair
+// [fa][fb], concatenated (pair f owns terms[start[f] .. start[f+1])).
+struct PrimitivePair {
+  double p = 0.0;
+  geom::Vec3 center;
+  double weight = 0.0;
+  std::vector<HermiteTerm> terms;
+  std::vector<std::size_t> start;
+};
+
+// Expand every primitive pair of (a, b). The ket side carries the sign
+// (-1)^(t+u+v) of its Hermite functions' derivative relation.
+std::vector<PrimitivePair> expand_pairs(const Shell& a, const Shell& b,
+                                        bool ket) {
+  const auto pw_a = basis::cartesian_powers(a.l);
+  const auto pw_b = basis::cartesian_powers(b.l);
+  std::vector<PrimitivePair> out;
+  out.reserve(a.prims.size() * b.prims.size());
+  for (const auto& p1 : a.prims)
+    for (const auto& p2 : b.prims) {
+      const Hermite1D ex(p1.exponent, p2.exponent, a.center.x, b.center.x,
+                         a.l, b.l);
+      const Hermite1D ey(p1.exponent, p2.exponent, a.center.y, b.center.y,
+                         a.l, b.l);
+      const Hermite1D ez(p1.exponent, p2.exponent, a.center.z, b.center.z,
+                         a.l, b.l);
+      PrimitivePair pp;
+      pp.p = ex.p();
+      pp.center = {ex.center(), ey.center(), ez.center()};
+      pp.weight = p1.coefficient * p2.coefficient;
+      pp.start.reserve(pw_a.size() * pw_b.size() + 1);
+      for (const auto& qa : pw_a)
+        for (const auto& qb : pw_b) {
+          pp.start.push_back(pp.terms.size());
+          for (int t = 0; t <= qa.i + qb.i; ++t) {
+            const double e_x = ex(qa.i, qb.i, t);
+            if (e_x == 0.0) continue;
+            for (int u = 0; u <= qa.j + qb.j; ++u) {
+              const double e_y = ey(qa.j, qb.j, u);
+              if (e_y == 0.0) continue;
+              for (int v = 0; v <= qa.k + qb.k; ++v) {
+                const double e_z = ez(qa.k, qb.k, v);
+                if (e_z == 0.0) continue;
+                const double sign = (ket && (t + u + v) % 2 == 1) ? -1.0 : 1.0;
+                pp.terms.push_back({sign * e_x * e_y * e_z, t, u, v});
+              }
+            }
+          }
+        }
+      pp.start.push_back(pp.terms.size());
+      out.push_back(std::move(pp));
+    }
+  return out;
+}
 
 }  // namespace
 
 void eri_shell_quartet(const Shell& a, const Shell& b, const Shell& c,
                        const Shell& d, std::vector<double>& out) {
-  const auto pw_a = basis::cartesian_powers(a.l);
-  const auto pw_b = basis::cartesian_powers(b.l);
-  const auto pw_c = basis::cartesian_powers(c.l);
-  const auto pw_d = basis::cartesian_powers(d.l);
-  const std::size_t na = pw_a.size(), nb = pw_b.size(), nc = pw_c.size(),
-                    nd = pw_d.size();
-  out.assign(na * nb * nc * nd, 0.0);
-  const int tmax_ab = a.l + b.l;
-  const int tmax_cd = c.l + d.l;
+  const std::size_t nab = a.n_functions() * b.n_functions();
+  const std::size_t ncd = c.n_functions() * d.n_functions();
+  out.assign(nab * ncd, 0.0);
+  const int lab = a.l + b.l;
+  const int l_total = lab + c.l + d.l;
+  static const double k2Pi52 = 2.0 * std::pow(units::kPi, 2.5);
 
-  for (const auto& p1 : a.prims)
-    for (const auto& p2 : b.prims) {
-      const Hermite1D e1x(p1.exponent, p2.exponent, a.center.x, b.center.x,
-                          a.l, b.l);
-      const Hermite1D e1y(p1.exponent, p2.exponent, a.center.y, b.center.y,
-                          a.l, b.l);
-      const Hermite1D e1z(p1.exponent, p2.exponent, a.center.z, b.center.z,
-                          a.l, b.l);
-      const double p = e1x.p();
-      const geom::Vec3 pc{e1x.center(), e1y.center(), e1z.center()};
-      const double c12 = p1.coefficient * p2.coefficient;
+  const std::vector<PrimitivePair> bra = expand_pairs(a, b, false);
+  const std::vector<PrimitivePair> ket = expand_pairs(c, d, true);
 
-      for (const auto& p3 : c.prims)
-        for (const auto& p4 : d.prims) {
-          const Hermite1D e2x(p3.exponent, p4.exponent, c.center.x,
-                              d.center.x, c.l, d.l);
-          const Hermite1D e2y(p3.exponent, p4.exponent, c.center.y,
-                              d.center.y, c.l, d.l);
-          const Hermite1D e2z(p3.exponent, p4.exponent, c.center.z,
-                              d.center.z, c.l, d.l);
-          const double q = e2x.p();
-          const geom::Vec3 qc{e2x.center(), e2y.center(), e2z.center()};
-          const double alpha = p * q / (p + q);
-          const double pref = c12 * p3.coefficient * p4.coefficient * 2.0 *
-                              std::pow(units::kPi, 2.5) /
-                              (p * q * std::sqrt(p + q));
-          const HermiteR r(alpha, pc - qc, tmax_ab + tmax_cd);
+  // W[tuv][cd] = sum over the ket expansion of sign E^2 R_{t+t',u+u',v+v'},
+  // for every bra Hermite index with t+u+v <= l_a+l_b, stored as a dense
+  // (lab+1)^3 cube of rows of length ncd (rows past the simplex unused).
+  const int n1 = lab + 1;
+  auto row = [n1](int t, int u, int v) {
+    return static_cast<std::size_t>((t * n1 + u) * n1 + v);
+  };
+  std::vector<double> w(static_cast<std::size_t>(n1 * n1 * n1) * ncd);
 
-          std::size_t idx = 0;
-          for (std::size_t fa = 0; fa < na; ++fa)
-            for (std::size_t fb = 0; fb < nb; ++fb)
-              for (std::size_t fc = 0; fc < nc; ++fc)
-                for (std::size_t fd = 0; fd < nd; ++fd, ++idx) {
-                  const auto& qa = pw_a[fa];
-                  const auto& qb = pw_b[fb];
-                  const auto& qcc = pw_c[fc];
-                  const auto& qd = pw_d[fd];
-                  double acc = 0.0;
-                  for (int t = 0; t <= qa.i + qb.i; ++t) {
-                    const double ex1 = e1x(qa.i, qb.i, t);
-                    if (ex1 == 0.0) continue;
-                    for (int u = 0; u <= qa.j + qb.j; ++u) {
-                      const double ey1 = e1y(qa.j, qb.j, u);
-                      if (ey1 == 0.0) continue;
-                      for (int v = 0; v <= qa.k + qb.k; ++v) {
-                        const double ez1 = e1z(qa.k, qb.k, v);
-                        if (ez1 == 0.0) continue;
-                        double inner = 0.0;
-                        for (int tt = 0; tt <= qcc.i + qd.i; ++tt) {
-                          const double ex2 = e2x(qcc.i, qd.i, tt);
-                          if (ex2 == 0.0) continue;
-                          for (int uu = 0; uu <= qcc.j + qd.j; ++uu) {
-                            const double ey2 = e2y(qcc.j, qd.j, uu);
-                            if (ey2 == 0.0) continue;
-                            for (int vv = 0; vv <= qcc.k + qd.k; ++vv) {
-                              const double ez2 = e2z(qcc.k, qd.k, vv);
-                              if (ez2 == 0.0) continue;
-                              const double sign =
-                                  ((tt + uu + vv) % 2 == 0) ? 1.0 : -1.0;
-                              inner += sign * ex2 * ey2 * ez2 *
-                                       r(t + tt, u + uu, v + vv);
-                            }
-                          }
-                        }
-                        acc += ex1 * ey1 * ez1 * inner;
-                      }
-                    }
-                  }
-                  out[idx] += pref * acc;
-                }
+  for (const PrimitivePair& pb : bra)
+    for (const PrimitivePair& pk : ket) {
+      const double p = pb.p, q = pk.p;
+      const double alpha = p * q / (p + q);
+      const double pref =
+          pb.weight * pk.weight * k2Pi52 / (p * q * std::sqrt(p + q));
+      const HermiteR r(alpha, pb.center - pk.center, l_total);
+
+      for (int t = 0; t <= lab; ++t)
+        for (int u = 0; t + u <= lab; ++u)
+          for (int v = 0; t + u + v <= lab; ++v) {
+            double* wrow = w.data() + row(t, u, v) * ncd;
+            for (std::size_t cd = 0; cd < ncd; ++cd) {
+              double acc = 0.0;
+              for (std::size_t k = pk.start[cd]; k < pk.start[cd + 1]; ++k) {
+                const HermiteTerm& h = pk.terms[k];
+                acc += h.e * r(t + h.t, u + h.u, v + h.v);
+              }
+              wrow[cd] = acc;
+            }
+          }
+
+      for (std::size_t ab = 0; ab < nab; ++ab) {
+        double* dst = out.data() + ab * ncd;
+        for (std::size_t k = pb.start[ab]; k < pb.start[ab + 1]; ++k) {
+          const HermiteTerm& h = pb.terms[k];
+          const double e = pref * h.e;
+          const double* wrow = w.data() + row(h.t, h.u, h.v) * ncd;
+          for (std::size_t cd = 0; cd < ncd; ++cd) dst[cd] += e * wrow[cd];
         }
+      }
     }
 }
-
-namespace {
-// Alias keeping the original internal call sites readable.
-inline void shell_quartet(const Shell& a, const Shell& b, const Shell& c,
-                          const Shell& d, std::vector<double>& out) {
-  eri_shell_quartet(a, b, c, d, out);
-}
-}  // namespace
 
 EriTensor::EriTensor(const BasisSet& bs, double screen_threshold) {
   nbf_ = bs.n_functions();
@@ -118,13 +144,13 @@ EriTensor::EriTensor(const BasisSet& bs, double screen_threshold) {
   const std::size_t ns = bs.n_shells();
 
   // Schwarz bounds per shell pair: sqrt(max |(ab|ab)|).
-  la::Matrix schwarz(ns, ns);
+  schwarz_.resize_zero(ns, ns);
   std::vector<double> block;
   for (std::size_t sa = 0; sa < ns; ++sa)
     for (std::size_t sb = 0; sb <= sa; ++sb) {
       const Shell& a = bs.shell(sa);
       const Shell& b = bs.shell(sb);
-      shell_quartet(a, b, a, b, block);
+      eri_shell_quartet(a, b, a, b, block);
       const std::size_t na = a.n_functions(), nbn = b.n_functions();
       double mx = 0.0;
       for (std::size_t fa = 0; fa < na; ++fa)
@@ -133,19 +159,19 @@ EriTensor::EriTensor(const BasisSet& bs, double screen_threshold) {
               ((fa * nbn + fb) * na + fa) * nbn + fb;  // (ab|ab)
           mx = std::max(mx, std::fabs(block[idx]));
         }
-      schwarz(sa, sb) = schwarz(sb, sa) = std::sqrt(mx);
+      schwarz_(sa, sb) = schwarz_(sb, sa) = std::sqrt(mx);
     }
 
   for (std::size_t sa = 0; sa < ns; ++sa)
     for (std::size_t sb = 0; sb <= sa; ++sb)
       for (std::size_t sc = 0; sc <= sa; ++sc)
         for (std::size_t sd = 0; sd <= ((sc == sa) ? sb : sc); ++sd) {
-          if (schwarz(sa, sb) * schwarz(sc, sd) < screen_threshold) continue;
+          if (schwarz_(sa, sb) * schwarz_(sc, sd) < screen_threshold) continue;
           const Shell& a = bs.shell(sa);
           const Shell& b = bs.shell(sb);
           const Shell& c = bs.shell(sc);
           const Shell& d = bs.shell(sd);
-          shell_quartet(a, b, c, d, block);
+          eri_shell_quartet(a, b, c, d, block);
           const std::size_t na = a.n_functions(), nbn = b.n_functions(),
                             ncn = c.n_functions(), ndn = d.n_functions();
           std::size_t idx = 0;

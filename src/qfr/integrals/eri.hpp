@@ -12,6 +12,11 @@ namespace qfr::ints {
 /// `out`, flattened as [fa][fb][fc][fd] (McMurchie-Davidson; arbitrary
 /// angular momenta within the Hermite table limits). Exposed for the
 /// derivative-integral machinery in gradients.cpp.
+///
+/// Each primitive pair's Hermite expansion is built once per quartet, and
+/// every primitive quartet contracts in two steps: the ket expansion
+/// against R into W[tuv][fc fd] for all t+u+v <= l_a+l_b, then the bra
+/// expansion against W for each (fa, fb).
 void eri_shell_quartet(const basis::Shell& a, const basis::Shell& b,
                        const basis::Shell& c, const basis::Shell& d,
                        std::vector<double>& out);
@@ -45,6 +50,11 @@ class EriTensor {
   /// Number of stored unique values (diagnostics).
   std::size_t storage_size() const { return values_.size(); }
 
+  /// Schwarz bound of every shell pair, sqrt(max |(ab|ab)|) over the pair's
+  /// functions (ns x ns, symmetric). By Cauchy-Schwarz it bounds every
+  /// integral of the quartet (ab|cd) by schwarz(a,b) * schwarz(c,d).
+  const la::Matrix& schwarz() const { return schwarz_; }
+
  private:
   static std::size_t pair_index(std::size_t i, std::size_t j) {
     return (i >= j) ? i * (i + 1) / 2 + j : j * (j + 1) / 2 + i;
@@ -58,6 +68,7 @@ class EriTensor {
 
   std::size_t nbf_ = 0;
   std::vector<double> values_;
+  la::Matrix schwarz_;
 };
 
 }  // namespace qfr::ints

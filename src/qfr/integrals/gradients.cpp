@@ -1,6 +1,6 @@
 #include "qfr/integrals/gradients.hpp"
 
-#include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -36,13 +36,11 @@ Shell lowered_shell(const Shell& s) {
   return r;
 }
 
-// Index of Cartesian powers (i, j, k) within cartesian_powers(l).
-std::size_t cart_index(int l, int i, int j, int k) {
-  const auto pw = basis::cartesian_powers(l);
-  for (std::size_t f = 0; f < pw.size(); ++f)
-    if (pw[f].i == i && pw[f].j == j && pw[f].k == k) return f;
-  QFR_ASSERT(false, "cartesian component not found");
-  return 0;
+// Index of Cartesian powers (i, j, k), i + j + k = l, within
+// cartesian_powers(l): i runs from l down, then j from l - i down.
+std::size_t cart_index(int l, int i, int j) {
+  const int m = l - i;
+  return static_cast<std::size_t>(m * (m + 1) / 2 + (m - j));
 }
 
 double s1d(const Hermite1D& e, int i, int j) {
@@ -140,14 +138,13 @@ std::array<Matrix, 3> bra_derivative_block(const Shell& a, const Shell& b,
     for (int c = 0; c < 3; ++c) {
       int up_pw[3] = {q.i, q.j, q.k};
       up_pw[c] += 1;
-      const std::size_t fu = cart_index(up.l, up_pw[0], up_pw[1], up_pw[2]);
+      const std::size_t fu = cart_index(up.l, up_pw[0], up_pw[1]);
       for (std::size_t fb = 0; fb < b.n_functions(); ++fb) {
         double v = up_block(fu, fb);
         if (pw[c] > 0) {
           int dn_pw[3] = {q.i, q.j, q.k};
           dn_pw[c] -= 1;
-          const std::size_t fd =
-              cart_index(a.l - 1, dn_pw[0], dn_pw[1], dn_pw[2]);
+          const std::size_t fd = cart_index(a.l - 1, dn_pw[0], dn_pw[1]);
           v -= pw[c] * down_block(fd, fb);
         }
         d[c](fa, fb) = v;
@@ -207,7 +204,8 @@ void accumulate_hellmann_feynman(const Shell& a, const Shell& b,
     }
 }
 
-// Bra-derivative ERI blocks d1(ab|cd)/dA_c, flattened [fa][fb][fc][fd].
+}  // namespace
+
 std::array<std::vector<double>, 3> eri_bra_derivative(const Shell& a,
                                                       const Shell& b,
                                                       const Shell& c,
@@ -229,15 +227,14 @@ std::array<std::vector<double>, 3> eri_bra_derivative(const Shell& a,
     for (int comp = 0; comp < 3; ++comp) {
       int up_pw[3] = {q.i, q.j, q.k};
       up_pw[comp] += 1;
-      const std::size_t fu = cart_index(up.l, up_pw[0], up_pw[1], up_pw[2]);
+      const std::size_t fu = cart_index(up.l, up_pw[0], up_pw[1]);
       double* dst = out[comp].data() + fa * tail;
       const double* src_up = up_block.data() + fu * tail;
       for (std::size_t t = 0; t < tail; ++t) dst[t] = src_up[t];
       if (pw[comp] > 0) {
         int dn_pw[3] = {q.i, q.j, q.k};
         dn_pw[comp] -= 1;
-        const std::size_t fd =
-            cart_index(a.l - 1, dn_pw[0], dn_pw[1], dn_pw[2]);
+        const std::size_t fd = cart_index(a.l - 1, dn_pw[0], dn_pw[1]);
         const double* src_dn = down_block.data() + fd * tail;
         for (std::size_t t = 0; t < tail; ++t)
           dst[t] -= pw[comp] * src_dn[t];
@@ -247,19 +244,29 @@ std::array<std::vector<double>, 3> eri_bra_derivative(const Shell& a,
   return out;
 }
 
-}  // namespace
-
 la::Vector rhf_gradient(const scf::ScfContext& ctx,
                         const scf::ScfResult& scf_state) {
   QFR_REQUIRE(scf_state.converged, "gradient requires a converged SCF state");
   const auto& bs = ctx.bs;
   const auto& mol = ctx.mol;
+  const std::size_t n = bs.n_functions();
+  // la::Matrix indexing is unchecked: a state from another molecule must
+  // be rejected here, not read out of bounds below.
+  QFR_REQUIRE(scf_state.density.rows() == n && scf_state.density.cols() == n,
+              "SCF density shape does not match the context's basis");
+  QFR_REQUIRE(scf_state.mo_coefficients.rows() == n,
+              "MO coefficient rows do not match the context's basis");
+  QFR_REQUIRE(scf_state.n_occupied >= 0 &&
+                  scf_state.mo_energies.size() >=
+                      static_cast<std::size_t>(scf_state.n_occupied) &&
+                  scf_state.mo_coefficients.cols() >=
+                      static_cast<std::size_t>(scf_state.n_occupied),
+              "SCF state has fewer MOs than occupied orbitals");
   const std::size_t dim = 3 * mol.size();
   la::Vector grad(dim, 0.0);
 
   const Matrix& p = scf_state.density;
   // Energy-weighted density W = 2 sum_i^occ eps_i C_i C_i^T.
-  const std::size_t n = bs.n_functions();
   Matrix w(n, n);
   for (std::size_t mu = 0; mu < n; ++mu)
     for (std::size_t nu = 0; nu < n; ++nu) {
@@ -305,61 +312,102 @@ la::Vector rhf_gradient(const scf::ScfContext& ctx,
     }
   }
 
-  // Two-electron term: loop ALL shell quartets; only the first index's
-  // center derivative is computed, with the effective two-particle density
-  //   Gamma_eff = 2 P_mn P_ls - 1/2 (P_ml P_ns + P_nl P_ms)
-  // absorbing the other three positions (see the relabeling argument in
-  // gradients.hpp's unit tests).
-  const std::size_t ns = bs.n_shells();
+  const la::Vector g2 = rhf_two_electron_gradient(ctx, p);
+  for (std::size_t c = 0; c < dim; ++c) grad[c] += g2[c];
+  return grad;
+}
 
-  // Schwarz bounds for screening the quartic loop (the derivative
-  // integrals obey essentially the same decay as the integrals).
-  Matrix schwarz(ns, ns);
-  {
-    std::vector<double> block;
-    for (std::size_t sa = 0; sa < ns; ++sa)
-      for (std::size_t sb = 0; sb <= sa; ++sb) {
-        const Shell& a = bs.shell(sa);
-        const Shell& b = bs.shell(sb);
-        eri_shell_quartet(a, b, a, b, block);
-        double mx = 0.0;
-        for (double v : block) mx = std::max(mx, std::fabs(v));
-        schwarz(sa, sb) = schwarz(sb, sa) = std::sqrt(mx);
-      }
-  }
+la::Vector rhf_two_electron_gradient(const scf::ScfContext& ctx,
+                                     const la::Matrix& density) {
+  const auto& bs = ctx.bs;
+  const std::size_t n = bs.n_functions();
+  QFR_REQUIRE(density.rows() == n && density.cols() == n,
+              "density shape does not match the context's basis");
+  const Matrix& p = density;
+  la::Vector grad(3 * ctx.mol.size(), 0.0);
+
+  // Canonical quartets (a>=b, c>=d, ab>=cd) stand for the deg ordered
+  // quartets they permute into, and the energy is 1/4 sum Gamma_eff (ab|cd)
+  // over ordered quartets with
+  //   Gamma_eff = 2 P_mn P_ls - 1/2 (P_ml P_ns + P_nl P_ms),
+  // so each canonical quartet contributes deg * Gamma_eff / 4 times its
+  // full derivative. The A, B and C center derivatives are bra derivatives
+  // of (ab|cd), (ba|cd) and (cd|ab); translational invariance gives
+  // d/dD = -(d/dA + d/dB + d/dC). A position on D's atom therefore
+  // contributes +g and -g to the same atom, and is skipped.
+  const Matrix& schwarz = ctx.eri.schwarz();
   constexpr double kScreen = 1e-11;
+  const std::size_t ns = bs.n_shells();
+  std::vector<double> weight;
 
-  for (std::size_t sa = 0; sa < ns; ++sa) {
-    const Shell& a = bs.shell(sa);
-    for (std::size_t sb = 0; sb < ns; ++sb) {
-      const Shell& b = bs.shell(sb);
-      for (std::size_t sc = 0; sc < ns; ++sc) {
-        const Shell& c = bs.shell(sc);
-        for (std::size_t sd = 0; sd < ns; ++sd) {
-          const Shell& d = bs.shell(sd);
+  for (std::size_t sa = 0; sa < ns; ++sa)
+    for (std::size_t sb = 0; sb <= sa; ++sb)
+      for (std::size_t sc = 0; sc <= sa; ++sc)
+        for (std::size_t sd = 0; sd <= ((sc == sa) ? sb : sc); ++sd) {
           if (schwarz(sa, sb) * schwarz(sc, sd) < kScreen) continue;
-          const auto deriv = eri_bra_derivative(a, b, c, d);
+          const Shell& a = bs.shell(sa);
+          const Shell& b = bs.shell(sb);
+          const Shell& c = bs.shell(sc);
+          const Shell& d = bs.shell(sd);
+          const bool on_a = a.atom == d.atom;
+          const bool on_b = b.atom == d.atom;
+          const bool on_c = c.atom == d.atom;
+          if (on_a && on_b && on_c) continue;
+
+          const double deg = ((sa == sb) ? 1.0 : 2.0) *
+                             ((sc == sd) ? 1.0 : 2.0) *
+                             ((sa == sc && sb == sd) ? 1.0 : 2.0);
+          const std::size_t na = a.n_functions(), nb = b.n_functions(),
+                            nc = c.n_functions(), nd = d.n_functions();
+          weight.resize(na * nb * nc * nd);
           std::size_t idx = 0;
-          for (std::size_t fa = 0; fa < a.n_functions(); ++fa)
-            for (std::size_t fb = 0; fb < b.n_functions(); ++fb)
-              for (std::size_t fc = 0; fc < c.n_functions(); ++fc)
-                for (std::size_t fd = 0; fd < d.n_functions(); ++fd, ++idx) {
+          for (std::size_t fa = 0; fa < na; ++fa)
+            for (std::size_t fb = 0; fb < nb; ++fb)
+              for (std::size_t fc = 0; fc < nc; ++fc)
+                for (std::size_t fd = 0; fd < nd; ++fd, ++idx) {
                   const std::size_t mu = a.first_bf + fa;
                   const std::size_t nu = b.first_bf + fb;
                   const std::size_t la_ = c.first_bf + fc;
                   const std::size_t si = d.first_bf + fd;
-                  const double gamma =
-                      2.0 * p(mu, nu) * p(la_, si) -
-                      0.5 * (p(mu, la_) * p(nu, si) +
-                             p(nu, la_) * p(mu, si));
-                  if (gamma == 0.0) continue;
-                  for (int comp = 0; comp < 3; ++comp)
-                    grad[3 * a.atom + comp] += gamma * deriv[comp][idx];
+                  weight[idx] = 0.25 * deg *
+                                (2.0 * p(mu, nu) * p(la_, si) -
+                                 0.5 * (p(mu, la_) * p(nu, si) +
+                                        p(nu, la_) * p(mu, si)));
                 }
+
+          // Contract one center's derivative block, whose [fa][fb][fc][fd]
+          // element sits at the given strides, into grad[atom] and, by
+          // translational invariance, -grad[d.atom].
+          auto contract = [&](const std::array<std::vector<double>, 3>& blk,
+                              std::size_t atom, std::size_t s_a,
+                              std::size_t s_b, std::size_t s_c,
+                              std::size_t s_d) {
+            double g[3] = {0.0, 0.0, 0.0};
+            std::size_t i = 0;
+            for (std::size_t fa = 0; fa < na; ++fa)
+              for (std::size_t fb = 0; fb < nb; ++fb)
+                for (std::size_t fc = 0; fc < nc; ++fc)
+                  for (std::size_t fd = 0; fd < nd; ++fd, ++i) {
+                    const std::size_t at =
+                        fa * s_a + fb * s_b + fc * s_c + fd * s_d;
+                    for (int comp = 0; comp < 3; ++comp)
+                      g[comp] += weight[i] * blk[comp][at];
+                  }
+            for (int comp = 0; comp < 3; ++comp) {
+              grad[3 * atom + comp] += g[comp];
+              grad[3 * d.atom + comp] -= g[comp];
+            }
+          };
+          if (!on_a)
+            contract(eri_bra_derivative(a, b, c, d), a.atom, nb * nc * nd,
+                     nc * nd, nd, 1);
+          if (!on_b)
+            contract(eri_bra_derivative(b, a, c, d), b.atom, nc * nd,
+                     na * nc * nd, nd, 1);
+          if (!on_c)
+            contract(eri_bra_derivative(c, d, a, b), c.atom, nb, 1,
+                     nd * na * nb, na * nb);
         }
-      }
-    }
-  }
   return grad;
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
+#include <vector>
 
 #include "qfr/basis/basis.hpp"
 #include "qfr/chem/molecule.hpp"
@@ -15,6 +18,7 @@ namespace qfr::ints {
 namespace {
 
 using basis::BasisSet;
+using basis::Shell;
 using chem::Element;
 using chem::Molecule;
 
@@ -206,6 +210,156 @@ TEST(Eri, CoulombDominatesExchange) {
   const la::Matrix j = eri.coulomb(p);
   const la::Matrix k = eri.exchange(p);
   for (std::size_t i = 0; i < 2; ++i) EXPECT_GE(j(i, i), k(i, i) - 1e-12);
+}
+
+// The single-pass quartet kernel that eri_shell_quartet replaced: ket
+// Hermite tables rebuilt per bra primitive pair and the ket-against-R sum
+// redone per bra function pair. Kept as the differential reference.
+void reference_shell_quartet(const Shell& a, const Shell& b, const Shell& c,
+                             const Shell& d, std::vector<double>& out) {
+  const auto pw_a = basis::cartesian_powers(a.l);
+  const auto pw_b = basis::cartesian_powers(b.l);
+  const auto pw_c = basis::cartesian_powers(c.l);
+  const auto pw_d = basis::cartesian_powers(d.l);
+  const std::size_t na = pw_a.size(), nb = pw_b.size(), nc = pw_c.size(),
+                    nd = pw_d.size();
+  out.assign(na * nb * nc * nd, 0.0);
+  const int tmax_ab = a.l + b.l;
+  const int tmax_cd = c.l + d.l;
+
+  for (const auto& p1 : a.prims)
+    for (const auto& p2 : b.prims) {
+      const Hermite1D e1x(p1.exponent, p2.exponent, a.center.x, b.center.x,
+                          a.l, b.l);
+      const Hermite1D e1y(p1.exponent, p2.exponent, a.center.y, b.center.y,
+                          a.l, b.l);
+      const Hermite1D e1z(p1.exponent, p2.exponent, a.center.z, b.center.z,
+                          a.l, b.l);
+      const double p = e1x.p();
+      const geom::Vec3 pc{e1x.center(), e1y.center(), e1z.center()};
+      const double c12 = p1.coefficient * p2.coefficient;
+
+      for (const auto& p3 : c.prims)
+        for (const auto& p4 : d.prims) {
+          const Hermite1D e2x(p3.exponent, p4.exponent, c.center.x,
+                              d.center.x, c.l, d.l);
+          const Hermite1D e2y(p3.exponent, p4.exponent, c.center.y,
+                              d.center.y, c.l, d.l);
+          const Hermite1D e2z(p3.exponent, p4.exponent, c.center.z,
+                              d.center.z, c.l, d.l);
+          const double q = e2x.p();
+          const geom::Vec3 qc{e2x.center(), e2y.center(), e2z.center()};
+          const double alpha = p * q / (p + q);
+          const double pref = c12 * p3.coefficient * p4.coefficient * 2.0 *
+                              std::pow(units::kPi, 2.5) /
+                              (p * q * std::sqrt(p + q));
+          const HermiteR r(alpha, pc - qc, tmax_ab + tmax_cd);
+
+          std::size_t idx = 0;
+          for (std::size_t fa = 0; fa < na; ++fa)
+            for (std::size_t fb = 0; fb < nb; ++fb)
+              for (std::size_t fc = 0; fc < nc; ++fc)
+                for (std::size_t fd = 0; fd < nd; ++fd, ++idx) {
+                  const auto& qa = pw_a[fa];
+                  const auto& qb = pw_b[fb];
+                  const auto& qcc = pw_c[fc];
+                  const auto& qd = pw_d[fd];
+                  double acc = 0.0;
+                  for (int t = 0; t <= qa.i + qb.i; ++t) {
+                    const double ex1 = e1x(qa.i, qb.i, t);
+                    if (ex1 == 0.0) continue;
+                    for (int u = 0; u <= qa.j + qb.j; ++u) {
+                      const double ey1 = e1y(qa.j, qb.j, u);
+                      if (ey1 == 0.0) continue;
+                      for (int v = 0; v <= qa.k + qb.k; ++v) {
+                        const double ez1 = e1z(qa.k, qb.k, v);
+                        if (ez1 == 0.0) continue;
+                        double inner = 0.0;
+                        for (int tt = 0; tt <= qcc.i + qd.i; ++tt) {
+                          const double ex2 = e2x(qcc.i, qd.i, tt);
+                          if (ex2 == 0.0) continue;
+                          for (int uu = 0; uu <= qcc.j + qd.j; ++uu) {
+                            const double ey2 = e2y(qcc.j, qd.j, uu);
+                            if (ey2 == 0.0) continue;
+                            for (int vv = 0; vv <= qcc.k + qd.k; ++vv) {
+                              const double ez2 = e2z(qcc.k, qd.k, vv);
+                              if (ez2 == 0.0) continue;
+                              const double sign =
+                                  ((tt + uu + vv) % 2 == 0) ? 1.0 : -1.0;
+                              inner += sign * ex2 * ey2 * ez2 *
+                                       r(t + tt, u + uu, v + vv);
+                            }
+                          }
+                        }
+                        acc += ex1 * ey1 * ez1 * inner;
+                      }
+                    }
+                  }
+                  out[idx] += pref * acc;
+                }
+        }
+    }
+}
+
+// A shell of angular momentum l with 1-3 primitives at a random center.
+Shell random_shell(std::mt19937_64& rng, int l) {
+  std::uniform_real_distribution<double> pos(-1.5, 1.5);
+  std::uniform_real_distribution<double> expo(0.15, 6.0);
+  std::uniform_real_distribution<double> coef(0.1, 1.0);
+  std::uniform_int_distribution<int> nprim(1, 3);
+  Shell s;
+  s.l = l;
+  s.center = {pos(rng), pos(rng), pos(rng)};
+  for (int k = nprim(rng); k > 0; --k)
+    s.prims.push_back({expo(rng), coef(rng)});
+  return s;
+}
+
+TEST(Eri, QuartetKernelMatchesSinglePassReference) {
+  // Every shell class with l in {0, 1, 2} in each of the four positions,
+  // three seeded random draws each; elements are compared relative to the
+  // block's largest magnitude.
+  std::mt19937_64 rng(20240613);
+  std::vector<double> got, want;
+  for (int la = 0; la <= 2; ++la)
+    for (int lb = 0; lb <= 2; ++lb)
+      for (int lc = 0; lc <= 2; ++lc)
+        for (int ld = 0; ld <= 2; ++ld)
+          for (int draw = 0; draw < 3; ++draw) {
+            const Shell a = random_shell(rng, la), b = random_shell(rng, lb),
+                        c = random_shell(rng, lc), d = random_shell(rng, ld);
+            eri_shell_quartet(a, b, c, d, got);
+            reference_shell_quartet(a, b, c, d, want);
+            ASSERT_EQ(got.size(), want.size());
+            double scale = 0.0;
+            for (double v : want) scale = std::max(scale, std::fabs(v));
+            ASSERT_GT(scale, 0.0);
+            for (std::size_t i = 0; i < want.size(); ++i)
+              ASSERT_LE(std::fabs(got[i] - want[i]), 1e-13 * scale)
+                  << "class (" << la << lb << "|" << lc << ld << ") draw "
+                  << draw << " element " << i;
+          }
+}
+
+TEST(Eri, SchwarzTableBoundsEveryQuartet) {
+  const BasisSet bs = BasisSet::sto3g(chem::make_water({0, 0, 0}));
+  const EriTensor eri(bs);
+  const la::Matrix& q = eri.schwarz();
+  ASSERT_EQ(q.rows(), bs.n_shells());
+  ASSERT_EQ(q.cols(), bs.n_shells());
+  const std::size_t n = bs.n_functions();
+  auto shell_of = [&](std::size_t f) {
+    for (std::size_t s = 0; s < bs.n_shells(); ++s)
+      if (f < bs.shell(s).first_bf + bs.shell(s).n_functions()) return s;
+    return bs.n_shells();
+  };
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t k = 0; k < n; ++k)
+        for (std::size_t l = 0; l < n; ++l)
+          EXPECT_LE(std::fabs(eri(i, j, k, l)),
+                    q(shell_of(i), shell_of(j)) * q(shell_of(k), shell_of(l)) *
+                        (1.0 + 1e-12));
 }
 
 TEST(Basis, Sto3gCounts) {

@@ -236,7 +236,10 @@ fi
 # kernel's flat W buffer and packed Hermite terms, the gradient's
 # transposed derivative-block strides, and its shape checks on SCF states
 # from another molecule are exactly the out-of-bounds risk those legs
-# catch, and both suites are single-threaded, so TSan adds nothing.
+# catch, and both suites are single-threaded, so TSan adds nothing. The
+# spectral solver and tridiagonal eigensolver suites ride along for the
+# same reason: the Lanczos reorthogonalization sweeps four basis rows at a
+# time through raw pointers, and the first-row QL rotates a 1 x m block.
 ROBUSTNESS_TESTS=(test_fault test_checkpoint test_scheduler test_tracker
                   test_supervisor test_obs test_cache test_kernels
                   test_wire test_fragment_attempt)
@@ -254,7 +257,8 @@ for SAN in address undefined thread; do
   # legs: its chaos replay is wall-clock paced, and TSan's scheduling
   # skew starves the deadline/cancel storms it exists to exercise.
   [[ "$SAN" != thread ]] && SAN_TESTS+=(test_process_runtime test_serve
-                                        test_integrals test_gradients)
+                                        test_integrals test_gradients
+                                        test_spectra test_la_eig)
   echo "== robustness under ${SAN} sanitizer (${BUILD}) =="
   cmake -B "$BUILD" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \

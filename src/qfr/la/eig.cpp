@@ -90,7 +90,10 @@ double hypot2(double a, double b) { return std::hypot(a, b); }
 
 // Implicit-shift QL iteration on a tridiagonal matrix. d/e as from tred2
 // (e[0] = 0, e[i] couples i-1 and i). If z is non-null its columns are
-// rotated along, producing eigenvectors of the original matrix.
+// rotated along, producing eigenvectors of the original matrix. Only the
+// rows z holds are rotated: each row goes through the same operations
+// whatever the row count, so a z that starts as the single row e_0^T ends
+// as row 0 of the full eigenvector matrix, bit for bit.
 void tql2(Vector& d, Vector& e, Matrix* z) {
   const std::size_t n = d.size();
   if (n == 0) return;
@@ -135,7 +138,7 @@ void tql2(Vector& d, Vector& e, Matrix* z) {
           d[i + 1] = g + p;
           g = c * r - b;
           if (z != nullptr) {
-            for (std::size_t k = 0; k < n; ++k) {
+            for (std::size_t k = 0; k < z->rows(); ++k) {
               f = (*z)(k, i + 1);
               (*z)(k, i + 1) = s * (*z)(k, i) + c * f;
               (*z)(k, i) = c * (*z)(k, i) - s * f;
@@ -191,8 +194,11 @@ Vector eigvalsh(const Matrix& a) {
   return d;
 }
 
-EigResult eigh_tridiagonal(std::span<const double> diag,
-                           std::span<const double> sub) {
+namespace {
+
+// QL on the tridiagonal (diag, sub) with z (n columns) rotated along.
+EigResult ql_tridiagonal(std::span<const double> diag,
+                         std::span<const double> sub, Matrix z) {
   const std::size_t n = diag.size();
   QFR_REQUIRE(sub.size() + 1 == n || (n == 0 && sub.empty()),
               "subdiagonal must have n-1 entries");
@@ -200,10 +206,24 @@ EigResult eigh_tridiagonal(std::span<const double> diag,
   res.values.assign(diag.begin(), diag.end());
   Vector e(n, 0.0);
   for (std::size_t i = 1; i < n; ++i) e[i] = sub[i - 1];
-  res.vectors = Matrix::identity(n);
+  res.vectors = std::move(z);
   tql2(res.values, e, &res.vectors);
   sort_ascending(res.values, &res.vectors);
   return res;
+}
+
+}  // namespace
+
+EigResult eigh_tridiagonal(std::span<const double> diag,
+                           std::span<const double> sub) {
+  return ql_tridiagonal(diag, sub, Matrix::identity(diag.size()));
+}
+
+EigResult eigh_tridiagonal_first_row(std::span<const double> diag,
+                                     std::span<const double> sub) {
+  Matrix e0(1, diag.size());
+  if (!diag.empty()) e0(0, 0) = 1.0;
+  return ql_tridiagonal(diag, sub, std::move(e0));
 }
 
 Matrix cholesky(const Matrix& b) {

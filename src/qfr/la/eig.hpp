@@ -30,6 +30,15 @@ Vector eigvalsh(const Matrix& a);
 EigResult eigh_tridiagonal(std::span<const double> diag,
                            std::span<const double> sub);
 
+/// Eigenvalues and the first row of the eigenvector matrix of the same
+/// tridiagonal (Golub-Welsch): `vectors` is 1 x n, vectors(0, j) being the
+/// first component of eigenvector j. That row is all a Gauss quadrature
+/// weight needs; rotating one row instead of n takes the cost from O(n^3)
+/// to O(n^2), and values and row are bitwise equal to eigh_tridiagonal's
+/// values and vectors(0, .).
+EigResult eigh_tridiagonal_first_row(std::span<const double> diag,
+                                     std::span<const double> sub);
+
 /// Generalized symmetric-definite eigenproblem A x = lambda B x with B SPD,
 /// solved by Cholesky reduction (this is the Roothaan equation
 /// F C = S C eps of the SCF module).

@@ -40,6 +40,34 @@ std::unique_ptr<engine::FragmentEngine> make_engine(EngineKind kind,
   return nullptr;
 }
 
+SolvedSpectra solve_spectra(const frag::GlobalProperties& props,
+                            SolverKind solver, std::span<const double> axis,
+                            double sigma_cm, int lanczos_steps,
+                            bool compute_ir) {
+  if (solver == SolverKind::kAuto)
+    solver = props.hessian_mw.rows() <= 600 ? SolverKind::kExact
+                                            : SolverKind::kLanczosGagq;
+  SolvedSpectra out;
+  if (solver == SolverKind::kExact) {
+    const la::Matrix dense = props.hessian_mw.to_dense();
+    out.raman = spectra::raman_spectrum_exact(dense, props.dalpha_mw, axis,
+                                              sigma_cm);
+    if (compute_ir)
+      out.ir = spectra::ir_spectrum_exact(dense, props.dmu_mw, axis, sigma_cm);
+    return out;
+  }
+  spectra::LanczosOptions lopts;
+  lopts.steps = lanczos_steps;
+  const bool gagq = solver == SolverKind::kLanczosGagq;
+  out.raman = spectra::raman_spectrum_lanczos(props.hessian_mw, props.dalpha_mw,
+                                              axis, sigma_cm, lopts, gagq);
+  if (compute_ir)
+    out.ir = spectra::ir_spectrum_lanczos(props.hessian_mw, props.dmu_mw, axis,
+                                          sigma_cm, lopts, gagq);
+  out.used_lanczos = true;
+  return out;
+}
+
 engine::EngineFallbackChain make_fallback_chain(EngineKind kind,
                                                 bool batched_gemm) {
   engine::EngineFallbackChain chain;
@@ -281,37 +309,17 @@ WorkflowResult RamanWorkflow::run(const frag::BioSystem& system,
   }
 
   // 4. Spectral solve.
-  const std::size_t dim = out.properties.hessian_mw.rows();
-  SolverKind solver = options_.solver;
-  if (solver == SolverKind::kAuto)
-    solver = (dim <= 600) ? SolverKind::kExact : SolverKind::kLanczosGagq;
-
   const la::Vector axis = spectra::wavenumber_axis(
       options_.omega_min_cm, options_.omega_max_cm, options_.omega_points);
   WallTimer solver_timer;
   {
-  obs::SpanGuard solve_span(session, "workflow.solve", "workflow");
-  if (solver == SolverKind::kExact) {
-    const la::Matrix dense = out.properties.hessian_mw.to_dense();
-    out.spectrum = spectra::raman_spectrum_exact(
-        dense, out.properties.dalpha_mw, axis, options_.sigma_cm);
-    if (options_.compute_ir)
-      out.ir_spectrum = spectra::ir_spectrum_exact(
-          dense, out.properties.dmu_mw, axis, options_.sigma_cm);
-    out.used_lanczos = false;
-  } else {
-    spectra::LanczosOptions lopts;
-    lopts.steps = options_.lanczos_steps;
-    const bool gagq = solver == SolverKind::kLanczosGagq;
-    out.spectrum = spectra::raman_spectrum_lanczos(
-        out.properties.hessian_mw, out.properties.dalpha_mw, axis,
-        options_.sigma_cm, lopts, gagq);
-    if (options_.compute_ir)
-      out.ir_spectrum = spectra::ir_spectrum_lanczos(
-          out.properties.hessian_mw, out.properties.dmu_mw, axis,
-          options_.sigma_cm, lopts, gagq);
-    out.used_lanczos = true;
-  }
+    obs::SpanGuard solve_span(session, "workflow.solve", "workflow");
+    SolvedSpectra solved = solve_spectra(
+        out.properties, options_.solver, axis, options_.sigma_cm,
+        options_.lanczos_steps, options_.compute_ir);
+    out.spectrum = std::move(solved.raman);
+    out.ir_spectrum = std::move(solved.ir);
+    out.used_lanczos = solved.used_lanczos;
   }
   out.solver_seconds = solver_timer.seconds();
 

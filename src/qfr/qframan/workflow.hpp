@@ -205,6 +205,21 @@ class RamanWorkflow {
 std::unique_ptr<engine::FragmentEngine> make_engine(EngineKind kind,
                                                     bool batched_gemm = true);
 
+/// Spectra of an assembled system, the one solver dispatch the workflow
+/// and the server share.
+struct SolvedSpectra {
+  spectra::RamanSpectrum raman;
+  spectra::RamanSpectrum ir;  ///< filled when compute_ir is set
+  bool used_lanczos = false;
+};
+
+/// Turn assembled properties into spectra on `axis`: kAuto resolves to
+/// the exact solver up to 3N = 600 and to Lanczos+GAGQ above it.
+SolvedSpectra solve_spectra(const frag::GlobalProperties& props,
+                            SolverKind solver, std::span<const double> axis,
+                            double sigma_cm, int lanczos_steps,
+                            bool compute_ir);
+
 /// Degradation ladder below the primary engine `kind`: analytic-gradient
 /// HF falls back to energy-only finite differences, and everything
 /// bottoms out at the classical model surrogate (always available, always

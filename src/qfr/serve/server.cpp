@@ -577,29 +577,15 @@ void Server::maybe_finalize(const CtxPtr& ctx) {
           props = frag::assemble_global_properties(
               c.req.system, c.fragmentation.fragments, c.results, aopts);
         }
-        const std::size_t dim = props.hessian_mw.rows();
-        qframan::SolverKind solver = c.req.solver;
-        if (solver == qframan::SolverKind::kAuto)
-          solver = dim <= 600 ? qframan::SolverKind::kExact
-                              : qframan::SolverKind::kLanczosGagq;
         const la::Vector axis = spectra::wavenumber_axis(
             c.req.omega_min_cm, c.req.omega_max_cm, c.req.omega_points);
         WallTimer solve_timer;
         obs::SpanGuard span(c.session.get(), "serve.solve", "serve");
-        if (solver == qframan::SolverKind::kExact) {
-          const la::Matrix dense = props.hessian_mw.to_dense();
-          out.spectrum = spectra::raman_spectrum_exact(
-              dense, props.dalpha_mw, axis, c.req.sigma_cm);
-          out.used_lanczos = false;
-        } else {
-          spectra::LanczosOptions lopts;
-          lopts.steps = c.req.lanczos_steps;
-          const bool gagq = solver == qframan::SolverKind::kLanczosGagq;
-          out.spectrum = spectra::raman_spectrum_lanczos(
-              props.hessian_mw, props.dalpha_mw, axis, c.req.sigma_cm,
-              lopts, gagq);
-          out.used_lanczos = true;
-        }
+        qframan::SolvedSpectra solved = qframan::solve_spectra(
+            props, c.req.solver, axis, c.req.sigma_cm, c.req.lanczos_steps,
+            /*compute_ir=*/false);
+        out.spectrum = std::move(solved.raman);
+        out.used_lanczos = solved.used_lanczos;
         solver_seconds = solve_timer.seconds();
       } catch (const std::exception& e) {
         st = RequestState::kFailed;

@@ -1,6 +1,8 @@
 #include "qfr/spectra/lanczos.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "qfr/common/error.hpp"
 #include "qfr/common/units.hpp"
@@ -8,6 +10,56 @@
 #include "qfr/la/eig.hpp"
 
 namespace qfr::spectra {
+
+namespace {
+
+// One classical Gram-Schmidt pass of w against the basis rows q:
+// c = Q w, then w -= Q^T c. Rows go four at a time, so one sweep of w
+// feeds four independent dot-product chains (or retires four rows): w is
+// swept k/2 times per pass, where one dot + axpy per row sweeps it 2k.
+void project_out(std::span<const double* const> q, std::span<double> w,
+                 la::Vector& c) {
+  const std::size_t k = q.size();
+  const std::size_t n = w.size();
+  const double* wp = w.data();
+  c.resize(k);
+  std::size_t r = 0;
+  for (; r + 4 <= k; r += 4) {
+    const double *q0 = q[r], *q1 = q[r + 1], *q2 = q[r + 2], *q3 = q[r + 3];
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double wi = wp[i];
+      s0 += q0[i] * wi;
+      s1 += q1[i] * wi;
+      s2 += q2[i] * wi;
+      s3 += q3[i] * wi;
+    }
+    c[r] = s0;
+    c[r + 1] = s1;
+    c[r + 2] = s2;
+    c[r + 3] = s3;
+  }
+  for (; r < k; ++r) {
+    double s = 0.0;
+    for (std::size_t i = 0; i < n; ++i) s += q[r][i] * wp[i];
+    c[r] = s;
+  }
+
+  double* wo = w.data();
+  r = 0;
+  for (; r + 4 <= k; r += 4) {
+    const double *q0 = q[r], *q1 = q[r + 1], *q2 = q[r + 2], *q3 = q[r + 3];
+    const double c0 = c[r], c1 = c[r + 1], c2 = c[r + 2], c3 = c[r + 3];
+    for (std::size_t i = 0; i < n; ++i)
+      wo[i] -= c0 * q0[i] + c1 * q1[i] + c2 * q2[i] + c3 * q3[i];
+  }
+  for (; r < k; ++r) {
+    const double cr = c[r];
+    for (std::size_t i = 0; i < n; ++i) wo[i] -= cr * q[r][i];
+  }
+}
+
+}  // namespace
 
 LanczosResult lanczos(const MatVec& op, std::span<const double> start,
                       std::size_t n, const LanczosOptions& options) {
@@ -26,20 +78,25 @@ LanczosResult lanczos(const MatVec& op, std::span<const double> start,
   QFR_REQUIRE(res.start_norm > 0.0, "Lanczos start vector is zero");
 
   const int k = std::min<std::size_t>(options.steps, n);
-  std::vector<la::Vector> basis;  // kept for reorthogonalization
+  // The basis, kept for full reorthogonalization: one heap vector per row
+  // (a fresh contiguous k x n block costs resident pages up front), reached
+  // through a pointer array for the blocked sweeps.
+  std::vector<la::Vector> basis;
+  std::vector<const double*> rows;
   basis.reserve(k);
+  rows.reserve(k);
+  la::Vector coeffs;
 
-  la::Vector q(start.begin(), start.end());
-  la::scal(1.0 / res.start_norm, q);
-  basis.push_back(q);
+  basis.emplace_back(start.begin(), start.end());
+  la::scal(1.0 / res.start_norm, basis.back());
+  rows.push_back(basis.back().data());
 
   la::Vector w(n, 0.0);
   double beta_prev = 0.0;
-  la::Vector q_prev(n, 0.0);
 
   for (int j = 0; j < k; ++j) {
     op(basis.back(), w);
-    if (j > 0) la::axpy(-beta_prev, q_prev, w);
+    if (j > 0) la::axpy(-beta_prev, basis[j - 1], w);
     const double alpha = la::dot(basis.back(), w);
     if (!std::isfinite(alpha))
       QFR_NUMERIC_FAIL("Lanczos diagonal coefficient alpha["
@@ -49,13 +106,17 @@ LanczosResult lanczos(const MatVec& op, std::span<const double> start,
     res.alpha.push_back(alpha);
     res.steps = j + 1;
 
-    if (options.full_reorthogonalization) {
-      // Two passes of classical Gram-Schmidt against the whole basis.
-      for (int pass = 0; pass < 2; ++pass)
-        for (const auto& v : basis) la::axpy(-la::dot(v, w), v, w);
+    // Classical Gram-Schmidt against the whole basis, repeated only when
+    // the pass shrank ||w|| below 1/sqrt(2) of its norm before (the DGKS
+    // test, as in ARPACK): that much cancellation leaves w visibly
+    // non-orthogonal, and a second pass restores it.
+    const double norm_before = la::nrm2(w);
+    project_out(rows, w, coeffs);
+    double beta = la::nrm2(w);
+    if (beta < norm_before * std::sqrt(0.5)) {
+      project_out(rows, w, coeffs);
+      beta = la::nrm2(w);
     }
-
-    const double beta = la::nrm2(w);
     if (!std::isfinite(beta))
       QFR_NUMERIC_FAIL("Lanczos off-diagonal coefficient beta["
                        << j << "] is non-finite: the operator produced "
@@ -69,11 +130,10 @@ LanczosResult lanczos(const MatVec& op, std::span<const double> start,
       break;
     }
     res.beta.push_back(beta);
-    q_prev = basis.back();
     beta_prev = beta;
-    la::Vector next = w;
+    la::Vector& next = basis.emplace_back(w);
     la::scal(1.0 / beta, next);
-    basis.push_back(std::move(next));
+    rows.push_back(next.data());
   }
   return res;
 }
@@ -83,7 +143,7 @@ namespace {
 SpectralMeasure measure_from_tridiagonal(std::span<const double> diag,
                                          std::span<const double> sub,
                                          double start_norm) {
-  const la::EigResult eig = la::eigh_tridiagonal(diag, sub);
+  const la::EigResult eig = la::eigh_tridiagonal_first_row(diag, sub);
   SpectralMeasure m;
   m.nodes = eig.values;
   m.weights.resize(eig.values.size());

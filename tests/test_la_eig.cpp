@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "qfr/chem/protein.hpp"
 #include "qfr/common/rng.hpp"
+#include "qfr/engine/model_engine.hpp"
+#include "qfr/frag/assembly.hpp"
+#include "qfr/frag/fragmentation.hpp"
 #include "qfr/la/blas.hpp"
 #include "qfr/la/eig.hpp"
+#include "qfr/spectra/lanczos.hpp"
 
 namespace qfr::la {
 namespace {
@@ -41,6 +47,29 @@ double residual(const Matrix& a, const EigResult& r) {
       worst = std::max(worst,
                        std::fabs(av(i, j) - r.values[j] * r.vectors(i, j)));
   return worst / std::max(1.0, frobenius_norm(a));
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Values and first row from the first-row solver must be the full
+// solver's values and vectors(0, .) bit for bit.
+void expect_first_row_bitwise(std::span<const double> diag,
+                              std::span<const double> sub) {
+  const EigResult full = eigh_tridiagonal(diag, sub);
+  const EigResult row = eigh_tridiagonal_first_row(diag, sub);
+  const std::size_t n = diag.size();
+  ASSERT_EQ(row.values.size(), n);
+  ASSERT_EQ(row.vectors.rows(), 1u);
+  ASSERT_EQ(row.vectors.cols(), n);
+  for (std::size_t j = 0; j < n; ++j) {
+    EXPECT_TRUE(same_bits(row.values[j], full.values[j]))
+        << "value " << j << ": " << row.values[j] << " vs " << full.values[j];
+    EXPECT_TRUE(same_bits(row.vectors(0, j), full.vectors(0, j)))
+        << "row entry " << j << ": " << row.vectors(0, j) << " vs "
+        << full.vectors(0, j);
+  }
 }
 
 TEST(Eigh, DiagonalMatrix) {
@@ -116,6 +145,52 @@ TEST(EighTridiagonal, MatchesDenseSolver) {
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_NEAR(rt.values[i], rd.values[i], 1e-10);
   EXPECT_LT(residual(dense, rt), 1e-10);
+}
+
+TEST(EighTridiagonal, FirstRowMatchesFullVectorsBitwise) {
+  Rng rng(41);
+  for (std::size_t n : {1u, 2u, 3u, 7u, 40u, 121u}) {
+    Vector diag(n), sub(n - 1);
+    for (auto& d : diag) d = rng.uniform(-2.0, 2.0);
+    for (auto& s : sub) s = rng.uniform(-1.0, 1.0);
+    expect_first_row_bitwise(diag, sub);
+  }
+
+  // The GAGQ matrix of a 60-step Lanczos run on an assembled model
+  // Hessian (an 8-residue protein through the MFCC fragments): T_k
+  // continued by its reversed coefficients, the shape the spectral solver
+  // diagonalizes, with the near-zero rigid-body modes and clustered
+  // stretches of a real spectrum.
+  frag::BioSystem sys;
+  chem::ProteinBuildOptions popts;
+  popts.n_residues = 8;
+  popts.seed = 7;
+  sys.chains.push_back(chem::build_synthetic_protein(popts));
+  const frag::Fragmentation fr = frag::fragment_biosystem(sys);
+  const engine::ModelEngine eng;
+  std::vector<engine::FragmentResult> results;
+  for (const frag::Fragment& f : fr.fragments)
+    results.push_back(eng.compute(f.id, f.mol, f.bonds));
+  const frag::GlobalProperties props =
+      frag::assemble_global_properties(sys, fr.fragments, results);
+  const spectra::MatVec op = [&props](std::span<const double> x,
+                                      std::span<double> y) {
+    props.hessian_mw.matvec(1.0, x, 0.0, y);
+  };
+  spectra::LanczosOptions lopts;
+  lopts.steps = 60;
+  const spectra::LanczosResult lr =
+      spectra::lanczos(op, props.dalpha_mw.row(0), props.hessian_mw.rows(),
+                       lopts);
+  ASSERT_EQ(lr.alpha.size(), 60u);
+  const std::size_t l = lr.alpha.size() - 1;
+  Vector diag(lr.alpha.begin(), lr.alpha.end());
+  Vector sub(lr.beta.begin(), lr.beta.end());
+  sub.push_back(lr.final_beta);
+  for (std::size_t i = 0; i < l; ++i) diag.push_back(lr.alpha[l - 1 - i]);
+  for (std::size_t i = 1; i < l; ++i) sub.push_back(lr.beta[l - 1 - i]);
+  ASSERT_EQ(sub.size() + 1, diag.size());
+  expect_first_row_bitwise(diag, sub);
 }
 
 TEST(Cholesky, ReconstructsMatrix) {

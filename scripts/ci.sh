@@ -231,18 +231,22 @@ fi
 # for exactly this), and the GEMM kernel/executor fuzz (out-of-bounds
 # packing under ASan, ISA-dispatch atomics under TSan), and the
 # fragment-attempt kernel's exception mapping on thread leaders and the
-# serve pool (its process-leader half lives in test_process_runtime).
+# serve pool (its process-leader half lives in test_process_runtime), and
+# the Raman and IR spectral suites: their component solves run on
+# concurrent threads that share the operator and park failures for the
+# caller (the TSan leg), and the Lanczos reorthogonalization sweeps four
+# basis rows at a time through raw pointers (the ASan/UBSan legs).
 # The integral and gradient suites ride the ASan/UBSan legs only: the ERI
 # kernel's flat W buffer and packed Hermite terms, the gradient's
 # transposed derivative-block strides, and its shape checks on SCF states
 # from another molecule are exactly the out-of-bounds risk those legs
 # catch, and both suites are single-threaded, so TSan adds nothing. The
-# spectral solver and tridiagonal eigensolver suites ride along for the
-# same reason: the Lanczos reorthogonalization sweeps four basis rows at a
-# time through raw pointers, and the first-row QL rotates a 1 x m block.
+# single-threaded tridiagonal eigensolver suite rides along for the same
+# reason: the first-row QL rotates a 1 x m block.
 ROBUSTNESS_TESTS=(test_fault test_checkpoint test_scheduler test_tracker
                   test_supervisor test_obs test_cache test_kernels
-                  test_wire test_fragment_attempt)
+                  test_wire test_fragment_attempt test_spectra
+                  test_infrared)
 
 for SAN in address undefined thread; do
   case "$SAN" in
@@ -258,7 +262,7 @@ for SAN in address undefined thread; do
   # skew starves the deadline/cancel storms it exists to exercise.
   [[ "$SAN" != thread ]] && SAN_TESTS+=(test_process_runtime test_serve
                                         test_integrals test_gradients
-                                        test_spectra test_la_eig)
+                                        test_la_eig)
   echo "== robustness under ${SAN} sanitizer (${BUILD}) =="
   cmake -B "$BUILD" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -43,7 +43,7 @@ std::unique_ptr<engine::FragmentEngine> make_engine(EngineKind kind,
 SolvedSpectra solve_spectra(const frag::GlobalProperties& props,
                             SolverKind solver, std::span<const double> axis,
                             double sigma_cm, int lanczos_steps,
-                            bool compute_ir) {
+                            bool compute_ir, std::size_t threads) {
   if (solver == SolverKind::kAuto)
     solver = props.hessian_mw.rows() <= 600 ? SolverKind::kExact
                                             : SolverKind::kLanczosGagq;
@@ -60,10 +60,11 @@ SolvedSpectra solve_spectra(const frag::GlobalProperties& props,
   lopts.steps = lanczos_steps;
   const bool gagq = solver == SolverKind::kLanczosGagq;
   out.raman = spectra::raman_spectrum_lanczos(props.hessian_mw, props.dalpha_mw,
-                                              axis, sigma_cm, lopts, gagq);
+                                              axis, sigma_cm, lopts, gagq,
+                                              threads);
   if (compute_ir)
     out.ir = spectra::ir_spectrum_lanczos(props.hessian_mw, props.dmu_mw, axis,
-                                          sigma_cm, lopts, gagq);
+                                          sigma_cm, lopts, gagq, threads);
   out.used_lanczos = true;
   return out;
 }
@@ -307,6 +308,11 @@ WorkflowResult RamanWorkflow::run(const frag::BioSystem& system,
     out.properties = frag::assemble_global_properties(
         system, fr.fragments, report.results, aopts);
   }
+  // Only assembly reads the fragment results and the run-private cache;
+  // freeing them here keeps the concurrent solve's Lanczos bases inside
+  // the sweep's peak memory. A shared cache belongs to the caller.
+  std::vector<engine::FragmentResult>().swap(report.results);
+  result_cache.reset();
 
   // 4. Spectral solve.
   const la::Vector axis = spectra::wavenumber_axis(
@@ -314,9 +320,11 @@ WorkflowResult RamanWorkflow::run(const frag::BioSystem& system,
   WallTimer solver_timer;
   {
     obs::SpanGuard solve_span(session, "workflow.solve", "workflow");
+    // The solve gets the threads the sweep used, no more.
     SolvedSpectra solved = solve_spectra(
         out.properties, options_.solver, axis, options_.sigma_cm,
-        options_.lanczos_steps, options_.compute_ir);
+        options_.lanczos_steps, options_.compute_ir,
+        options_.n_leaders * options_.workers_per_leader);
     out.spectrum = std::move(solved.raman);
     out.ir_spectrum = std::move(solved.ir);
     out.used_lanczos = solved.used_lanczos;

@@ -41,7 +41,8 @@ struct WorkflowOptions {
   /// per-product execution — the baseline side of parity tests and the
   /// fig09 real-vs-modeled bench. Ignored by the model engine.
   bool batched_gemm = true;
-  /// Leaders of the in-process hierarchy (threads).
+  /// Leaders of the in-process hierarchy (threads). The Lanczos solve
+  /// reuses the same n_leaders x workers_per_leader threads.
   std::size_t n_leaders = 2;
   std::size_t workers_per_leader = 1;
   /// Spectrum axis (cm^-1) and Gaussian smearing; the paper uses
@@ -214,11 +215,13 @@ struct SolvedSpectra {
 };
 
 /// Turn assembled properties into spectra on `axis`: kAuto resolves to
-/// the exact solver up to 3N = 600 and to Lanczos+GAGQ above it.
+/// the exact solver up to 3N = 600 and to Lanczos+GAGQ above it. The
+/// Lanczos components run up to `threads` at a time, with spectra bitwise
+/// the same for every `threads`.
 SolvedSpectra solve_spectra(const frag::GlobalProperties& props,
                             SolverKind solver, std::span<const double> axis,
                             double sigma_cm, int lanczos_steps,
-                            bool compute_ir);
+                            bool compute_ir, std::size_t threads);
 
 /// Degradation ladder below the primary engine `kind`: analytic-gradient
 /// HF falls back to energy-only finite differences, and everything

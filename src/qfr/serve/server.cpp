@@ -581,9 +581,11 @@ void Server::maybe_finalize(const CtxPtr& ctx) {
             c.req.omega_min_cm, c.req.omega_max_cm, c.req.omega_points);
         WallTimer solve_timer;
         obs::SpanGuard span(c.session.get(), "serve.solve", "serve");
+        // One thread: the leader pool is shared across tenants, so one
+        // request's solve must not take more.
         qframan::SolvedSpectra solved = qframan::solve_spectra(
             props, c.req.solver, axis, c.req.sigma_cm, c.req.lanczos_steps,
-            /*compute_ir=*/false);
+            /*compute_ir=*/false, /*threads=*/1);
         out.spectrum = std::move(solved.raman);
         out.used_lanczos = solved.used_lanczos;
         solver_seconds = solve_timer.seconds();

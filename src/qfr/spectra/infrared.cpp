@@ -52,20 +52,17 @@ RamanSpectrum ir_spectrum_lanczos(const MatVec& h_mw, std::size_t n,
                                   std::span<const double> omega_cm,
                                   double sigma_cm,
                                   const LanczosOptions& options,
-                                  bool use_gagq) {
+                                  bool use_gagq, std::size_t threads) {
   check_dmu(dmu, n);
   RamanSpectrum spec;
   spec.omega_cm.assign(omega_cm.begin(), omega_cm.end());
   spec.intensity.assign(omega_cm.size(), 0.0);
-  for (int c = 0; c < 3; ++c) {
-    const auto d = dmu.row(c);
-    if (la::nrm2(d) == 0.0) continue;
-    const LanczosResult lr = lanczos(h_mw, d, n, options);
-    const SpectralMeasure m =
-        use_gagq ? averaged_gauss_quadrature(lr) : gauss_quadrature(lr);
-    const la::Vector contrib = broaden_to_wavenumbers(m, omega_cm, sigma_cm);
-    la::axpy(1.0, contrib, spec.intensity);
-  }
+  const std::span<const double> starts[3] = {dmu.row(0), dmu.row(1),
+                                             dmu.row(2)};
+  for (const la::Vector& part :
+       broadened_components(h_mw, n, starts, omega_cm, sigma_cm, options,
+                            use_gagq, threads))
+    if (!part.empty()) la::axpy(1.0, part, spec.intensity);
   return spec;
 }
 
@@ -74,12 +71,12 @@ RamanSpectrum ir_spectrum_lanczos(const la::CsrMatrix& h_mw,
                                   std::span<const double> omega_cm,
                                   double sigma_cm,
                                   const LanczosOptions& options,
-                                  bool use_gagq) {
+                                  bool use_gagq, std::size_t threads) {
   const MatVec op = [&h_mw](std::span<const double> x, std::span<double> y) {
     h_mw.matvec(1.0, x, 0.0, y);
   };
   return ir_spectrum_lanczos(op, h_mw.rows(), dmu, omega_cm, sigma_cm,
-                             options, use_gagq);
+                             options, use_gagq, threads);
 }
 
 }  // namespace qfr::spectra

@@ -21,13 +21,16 @@ RamanSpectrum ir_spectrum_exact(const la::Matrix& h_mw, const la::Matrix& dmu,
                                 std::span<const double> omega_cm,
                                 double sigma_cm);
 
-/// Matrix-free path: one Lanczos + GAGQ run per Cartesian component.
+/// Matrix-free path: one Lanczos + GAGQ run per Cartesian component, up
+/// to `threads` at a time (see broadened_components); the spectrum is
+/// bitwise the same for every `threads`.
 RamanSpectrum ir_spectrum_lanczos(const MatVec& h_mw, std::size_t n,
                                   const la::Matrix& dmu,
                                   std::span<const double> omega_cm,
                                   double sigma_cm,
                                   const LanczosOptions& options,
-                                  bool use_gagq = true);
+                                  bool use_gagq = true,
+                                  std::size_t threads = 1);
 
 /// Convenience adapter for a sparse Hessian.
 RamanSpectrum ir_spectrum_lanczos(const la::CsrMatrix& h_mw,
@@ -35,6 +38,7 @@ RamanSpectrum ir_spectrum_lanczos(const la::CsrMatrix& h_mw,
                                   std::span<const double> omega_cm,
                                   double sigma_cm,
                                   const LanczosOptions& options,
-                                  bool use_gagq = true);
+                                  bool use_gagq = true,
+                                  std::size_t threads = 1);
 
 }  // namespace qfr::spectra

@@ -1,8 +1,15 @@
 #include "qfr/spectra/lanczos.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
+#include <thread>
 #include <vector>
+
+#ifdef QFR_HAVE_OPENMP
+#include <omp.h>
+#endif
 
 #include "qfr/common/error.hpp"
 #include "qfr/common/units.hpp"
@@ -219,6 +226,53 @@ la::Vector broaden_to_wavenumbers(const SpectralMeasure& measure,
       out[i] += weight * norm * std::exp(-0.5 * t * t);
     }
   }
+  return out;
+}
+
+std::vector<la::Vector> broadened_components(
+    const MatVec& op, std::size_t n,
+    std::span<const std::span<const double>> starts,
+    std::span<const double> omega_cm, double sigma_cm,
+    const LanczosOptions& options, bool use_gagq, std::size_t threads) {
+  std::vector<la::Vector> out(starts.size());
+  auto solve = [&](std::size_t c) {
+    if (la::nrm2(starts[c]) == 0.0) return;
+    const LanczosResult lr = lanczos(op, starts[c], n, options);
+    const SpectralMeasure m =
+        use_gagq ? averaged_gauss_quadrature(lr) : gauss_quadrature(lr);
+    out[c] = broaden_to_wavenumbers(m, omega_cm, sigma_cm);
+  };
+  threads = std::min(threads, starts.size());
+  if (threads <= 1) {
+    for (std::size_t c = 0; c < starts.size(); ++c) solve(c);
+    return out;
+  }
+
+  // Components are handed out in index order; a failure is parked in its
+  // slot so the one the in-order loop would raise first is rethrown.
+  std::vector<std::exception_ptr> errors(starts.size());
+  std::atomic<std::size_t> next{0};
+  {
+    std::vector<std::jthread> pool;
+    pool.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t)
+      pool.emplace_back([&] {
+#ifdef QFR_HAVE_OPENMP
+        // The budget counts threads, so the operator's own parallel loops
+        // must not fan each component out across every core.
+        omp_set_num_threads(1);
+#endif
+        for (std::size_t c = next++; c < starts.size(); c = next++) {
+          try {
+            solve(c);
+          } catch (...) {
+            errors[c] = std::current_exception();
+          }
+        }
+      });
+  }
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "qfr/la/matrix.hpp"
 
@@ -70,5 +71,22 @@ SpectralMeasure exact_measure(const la::Matrix& a,
 la::Vector broaden_to_wavenumbers(const SpectralMeasure& measure,
                                   std::span<const double> omega_cm,
                                   double sigma_cm);
+
+/// The spectral contributions of several start vectors through one
+/// operator (one per polarizability or dipole component): entry c is
+/// broaden_to_wavenumbers of the Gauss (or, with use_gagq, GAGQ) measure
+/// of lanczos(op, starts[c]), and is left empty for a zero start.
+///
+/// At most `threads` components run at a time, each on a thread scoped to
+/// the call with a one-thread OpenMP team, so `op` must be safe to call
+/// concurrently; `threads` <= 1 runs them in order on the calling thread.
+/// Entries are bitwise the same for every `threads` when `op` is. A
+/// failure surfaces as in the in-order loop: every thread is joined, then
+/// the failure of the lowest component index is rethrown.
+std::vector<la::Vector> broadened_components(
+    const MatVec& op, std::size_t n,
+    std::span<const std::span<const double>> starts,
+    std::span<const double> omega_cm, double sigma_cm,
+    const LanczosOptions& options, bool use_gagq, std::size_t threads);
 
 }  // namespace qfr::spectra

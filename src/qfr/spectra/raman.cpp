@@ -75,25 +75,26 @@ RamanSpectrum raman_spectrum_lanczos(const MatVec& h_mw, std::size_t n,
                                      std::span<const double> omega_cm,
                                      double sigma_cm,
                                      const LanczosOptions& options,
-                                     bool use_gagq) {
+                                     bool use_gagq, std::size_t threads) {
   check_dalpha(dalpha, n);
   RamanSpectrum spec;
   spec.omega_cm.assign(omega_cm.begin(), omega_cm.end());
   spec.intensity.assign(omega_cm.size(), 0.0);
 
-  auto add_component = [&](std::span<const double> d, double weight) {
-    if (la::nrm2(d) == 0.0) return;
-    const LanczosResult lr = lanczos(h_mw, d, n, options);
-    const SpectralMeasure m =
-        use_gagq ? averaged_gauss_quadrature(lr) : gauss_quadrature(lr);
-    const la::Vector contrib = broaden_to_wavenumbers(m, omega_cm, sigma_cm);
-    la::axpy(weight, contrib, spec.intensity);
-  };
-
-  add_component(trace_vector(dalpha), kTraceWeight);
-  for (int c = 0; c < kAlphaComponents; ++c)
-    add_component(dalpha.row(c),
-                  kTensorWeight * kOffDiagonalMultiplicity[c]);
+  const la::Vector trace = trace_vector(dalpha);
+  std::span<const double> starts[kAlphaComponents + 1] = {trace};
+  for (int c = 0; c < kAlphaComponents; ++c) starts[c + 1] = dalpha.row(c);
+  const std::vector<la::Vector> parts = broadened_components(
+      h_mw, n, starts, omega_cm, sigma_cm, options, use_gagq, threads);
+  // Summed in component order, so the spectrum does not depend on
+  // `threads`.
+  for (std::size_t c = 0; c < parts.size(); ++c) {
+    if (parts[c].empty()) continue;
+    const double weight =
+        c == 0 ? kTraceWeight
+               : kTensorWeight * kOffDiagonalMultiplicity[c - 1];
+    la::axpy(weight, parts[c], spec.intensity);
+  }
   return spec;
 }
 
@@ -102,12 +103,12 @@ RamanSpectrum raman_spectrum_lanczos(const la::CsrMatrix& h_mw,
                                      std::span<const double> omega_cm,
                                      double sigma_cm,
                                      const LanczosOptions& options,
-                                     bool use_gagq) {
+                                     bool use_gagq, std::size_t threads) {
   const MatVec op = [&h_mw](std::span<const double> x, std::span<double> y) {
     h_mw.matvec(1.0, x, 0.0, y);
   };
   return raman_spectrum_lanczos(op, h_mw.rows(), dalpha, omega_cm, sigma_cm,
-                                options, use_gagq);
+                                options, use_gagq, threads);
 }
 
 la::Vector vibrational_frequencies_cm(const la::Matrix& h_mw) {

@@ -32,13 +32,16 @@ RamanSpectrum raman_spectrum_exact(const la::Matrix& h_mw,
 /// Large-scale path: matrix-free Lanczos + (optionally) GAGQ per component.
 /// `h_mw` is any symmetric operator of dimension n (e.g. the sparse global
 /// mass-weighted Hessian); this is the solver that avoids diagonalizing the
-/// 3N x 3N matrix (paper Sec. V-E).
+/// 3N x 3N matrix (paper Sec. V-E). The seven component solves run up to
+/// `threads` at a time (see broadened_components); the spectrum is
+/// bitwise the same for every `threads`.
 RamanSpectrum raman_spectrum_lanczos(const MatVec& h_mw, std::size_t n,
                                      const la::Matrix& dalpha,
                                      std::span<const double> omega_cm,
                                      double sigma_cm,
                                      const LanczosOptions& options,
-                                     bool use_gagq = true);
+                                     bool use_gagq = true,
+                                     std::size_t threads = 1);
 
 /// Convenience adapter for a sparse Hessian.
 RamanSpectrum raman_spectrum_lanczos(const la::CsrMatrix& h_mw,
@@ -46,7 +49,8 @@ RamanSpectrum raman_spectrum_lanczos(const la::CsrMatrix& h_mw,
                                      std::span<const double> omega_cm,
                                      double sigma_cm,
                                      const LanczosOptions& options,
-                                     bool use_gagq = true);
+                                     bool use_gagq = true,
+                                     std::size_t threads = 1);
 
 /// Harmonic vibrational frequencies (cm^-1, ascending; negative eigenvalues
 /// reported as negative wavenumbers) from a dense mass-weighted Hessian.

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "qfr/chem/molecule.hpp"
+#include "qfr/chem/protein.hpp"
 #include "qfr/chem/topology.hpp"
 #include "qfr/common/rng.hpp"
 #include "qfr/common/units.hpp"
 #include "qfr/engine/model_engine.hpp"
 #include "qfr/engine/scf_engine.hpp"
+#include "qfr/frag/assembly.hpp"
+#include "qfr/frag/fragmentation.hpp"
 #include "qfr/la/blas.hpp"
 #include "qfr/qframan/workflow.hpp"
 #include "qfr/scf/scf.hpp"
@@ -118,6 +123,41 @@ TEST(IrSpectrum, LanczosMatchesExact) {
   for (std::size_t i = 0; i < axis.size(); ++i)
     EXPECT_NEAR(lz.intensity[i], exact.intensity[i],
                 1e-6 * (1.0 + exact.intensity[i]));
+}
+
+TEST(IrSpectrum, ConcurrentComponentsMatchSerialBitwise) {
+  // Assembled model-engine Hessian and dipole derivatives of an 8-residue
+  // protein; budget 16 is more than the three components and must clamp.
+  frag::BioSystem sys;
+  chem::ProteinBuildOptions popts;
+  popts.n_residues = 8;
+  popts.seed = 7;
+  sys.chains.push_back(chem::build_synthetic_protein(popts));
+  const frag::Fragmentation fr = frag::fragment_biosystem(sys);
+  const engine::ModelEngine eng;
+  std::vector<engine::FragmentResult> results;
+  for (const frag::Fragment& f : fr.fragments)
+    results.push_back(eng.compute(f.id, f.mol, f.bonds));
+  const frag::GlobalProperties props =
+      frag::assemble_global_properties(sys, fr.fragments, results);
+
+  const la::Vector axis = spectra::wavenumber_axis(0, 4000, 801);
+  spectra::LanczosOptions opts;
+  opts.steps = 120;
+  for (const bool gagq : {true, false}) {
+    const auto serial = spectra::ir_spectrum_lanczos(
+        props.hessian_mw, props.dmu_mw, axis, 10.0, opts, gagq, 1);
+    for (const std::size_t threads : {2u, 3u, 16u}) {
+      const auto concurrent = spectra::ir_spectrum_lanczos(
+          props.hessian_mw, props.dmu_mw, axis, 10.0, opts, gagq, threads);
+      ASSERT_EQ(concurrent.intensity.size(), serial.intensity.size());
+      EXPECT_EQ(std::memcmp(concurrent.intensity.data(),
+                            serial.intensity.data(),
+                            serial.intensity.size() * sizeof(double)),
+                0)
+          << "gagq " << gagq << ", threads " << threads;
+    }
+  }
 }
 
 TEST(IrSpectrum, WorkflowProducesWaterBands) {

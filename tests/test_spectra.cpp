@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "qfr/chem/protein.hpp"
@@ -14,6 +18,7 @@
 #include "qfr/frag/fragmentation.hpp"
 #include "qfr/la/blas.hpp"
 #include "qfr/la/eig.hpp"
+#include "qfr/spectra/infrared.hpp"
 #include "qfr/spectra/lanczos.hpp"
 #include "qfr/spectra/raman.hpp"
 
@@ -115,6 +120,42 @@ MatVec sparse_op(const la::CsrMatrix& h) {
   return [&h](std::span<const double> x, std::span<double> y) {
     h.matvec(1.0, x, 0.0, y);
   };
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// A weighted path graph whose output at `poison` turns NaN once its input
+// is nonzero there. The Krylov space of a start vector at coordinate s
+// reaches one more coordinate per step, so that start fails at Lanczos
+// step |s - poison| (alpha[|s - poison|] is non-finite), and a start that
+// cannot reach `poison` within the step budget (or poison >= n) never
+// fails.
+MatVec poisoned_chain(std::size_t poison) {
+  return [poison](std::span<const double> x, std::span<double> y) {
+    const std::size_t n = x.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      double v = (2.0 + 0.01 * static_cast<double>(i % 7)) * x[i];
+      if (i > 0) v -= x[i - 1];
+      if (i + 1 < n) v -= x[i + 1];
+      y[i] = v;
+    }
+    if (poison < n && x[poison] != 0.0)
+      y[poison] = std::numeric_limits<double>::quiet_NaN();
+  };
+}
+
+// Type and message of the exception `solve` throws.
+std::pair<std::string, std::string> thrown_by(
+    const std::function<void()>& solve) {
+  try {
+    solve();
+  } catch (const std::exception& e) {
+    return {typeid(e).name(), e.what()};
+  }
+  return {"nothing thrown", ""};
 }
 
 double rel_l2(std::span<const double> a, std::span<const double> ref) {
@@ -390,6 +431,84 @@ TEST(Raman, LanczosMatchesExactForFullRank) {
     EXPECT_NEAR(lz.intensity[i], exact.intensity[i],
                 1e-6 * (1.0 + exact.intensity[i]))
         << "at " << axis[i];
+}
+
+TEST(Raman, ConcurrentComponentsMatchSerialBitwise) {
+  // Budget 16 is more than the seven components: it must clamp, not fail.
+  const frag::GlobalProperties& props = model_properties();
+  const la::Vector axis = wavenumber_axis(0.0, 4000.0, 801);
+  LanczosOptions opts;
+  opts.steps = 120;
+  for (const bool gagq : {true, false}) {
+    const RamanSpectrum serial = raman_spectrum_lanczos(
+        props.hessian_mw, props.dalpha_mw, axis, 10.0, opts, gagq, 1);
+    for (const std::size_t threads : {2u, 3u, 7u, 16u}) {
+      const RamanSpectrum concurrent = raman_spectrum_lanczos(
+          props.hessian_mw, props.dalpha_mw, axis, 10.0, opts, gagq,
+          threads);
+      EXPECT_TRUE(same_bits(concurrent.intensity, serial.intensity))
+          << "gagq " << gagq << ", threads " << threads;
+    }
+  }
+}
+
+TEST(Raman, ConcurrentSolveRethrowsTheSerialError) {
+  constexpr std::size_t n = 512, poison = 440;
+  const la::Vector axis = wavenumber_axis(0.0, 1000.0, 51);
+  LanczosOptions opts;
+  opts.steps = 220;
+  const MatVec op = poisoned_chain(poison);
+
+  // xx, yy, zz start far from the poison and finish; xy, xz, yz start at
+  // distances 200, 3 and 0, so the first failure in component order comes
+  // last in time: at budget 3 the xz and yz solves fail while xy still
+  // has ~200 steps to go (and in IR, x runs beside y and z from the
+  // start).
+  la::Matrix dalpha(kAlphaComponents, n);
+  const std::size_t at[kAlphaComponents] = {2, 5, 8, 240, 437, 440};
+  for (int c = 0; c < kAlphaComponents; ++c) dalpha(c, at[c]) = 1.0;
+  la::Matrix dmu(3, n);
+  for (int c = 0; c < 3; ++c) dmu(c, at[c + 3]) = 1.0;
+
+  // The same two components, each with a non-finite entry instead.
+  la::Matrix dalpha_nan = dalpha;
+  dalpha_nan(4, 1) = std::numeric_limits<double>::quiet_NaN();
+  dalpha_nan(5, 3) = std::numeric_limits<double>::infinity();
+  la::Matrix dmu_nan = dmu;
+  dmu_nan(1, 1) = std::numeric_limits<double>::quiet_NaN();
+  dmu_nan(2, 3) = std::numeric_limits<double>::infinity();
+  const MatVec chain = poisoned_chain(n);  // no poison
+
+  // What the four solves throw at a given budget: Raman and IR on the
+  // poisoned operator, then on the non-finite starts.
+  auto failures = [&](std::size_t threads) {
+    return std::vector<std::pair<std::string, std::string>>{
+        thrown_by([&] {
+          raman_spectrum_lanczos(op, n, dalpha, axis, 10.0, opts, true,
+                                 threads);
+        }),
+        thrown_by([&] {
+          ir_spectrum_lanczos(op, n, dmu, axis, 10.0, opts, true, threads);
+        }),
+        thrown_by([&] {
+          raman_spectrum_lanczos(chain, n, dalpha_nan, axis, 10.0, opts, true,
+                                 threads);
+        }),
+        thrown_by([&] {
+          ir_spectrum_lanczos(chain, n, dmu_nan, axis, 10.0, opts, true,
+                              threads);
+        })};
+  };
+  const auto serial = failures(1);
+  for (const auto& [type, what] : serial)
+    EXPECT_EQ(type, typeid(NumericalError).name()) << what;
+  EXPECT_NE(serial[0].second.find("alpha[200]"), std::string::npos)
+      << serial[0].second;
+  EXPECT_EQ(serial[1], serial[0]);
+  EXPECT_NE(serial[2].second.find("start vector"), std::string::npos)
+      << serial[2].second;
+  EXPECT_EQ(serial[3], serial[2]);
+  EXPECT_EQ(failures(3), serial);
 }
 
 TEST(Raman, IntensityNonNegative) {

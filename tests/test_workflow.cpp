@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -210,6 +211,31 @@ TEST(Workflow, DeterministicAcrossRuns) {
   ASSERT_EQ(a.spectrum.intensity.size(), b.spectrum.intensity.size());
   for (std::size_t i = 0; i < a.spectrum.intensity.size(); ++i)
     EXPECT_DOUBLE_EQ(a.spectrum.intensity[i], b.spectrum.intensity[i]);
+}
+
+TEST(Workflow, SolveBudgetDoesNotChangeSpectrum) {
+  // The solve runs its components on n_leaders x workers_per_leader
+  // threads; one leader and three must give the same bits. The cache is
+  // off so both runs assemble the same fragment results.
+  const frag::BioSystem sys = protein_system(8, 7);
+  WorkflowOptions opts;
+  opts.solver = SolverKind::kLanczosGagq;
+  opts.lanczos_steps = 120;
+  opts.compute_ir = true;
+  opts.cache.enabled = false;
+  opts.n_leaders = 1;
+  const WorkflowResult one = RamanWorkflow(opts).run(sys);
+  opts.n_leaders = 3;
+  const WorkflowResult three = RamanWorkflow(opts).run(sys);
+  ASSERT_TRUE(one.used_lanczos);
+  ASSERT_TRUE(three.used_lanczos);
+  auto same_bits = [](const la::Vector& a, const la::Vector& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(same_bits(one.spectrum.intensity, three.spectrum.intensity));
+  EXPECT_TRUE(
+      same_bits(one.ir_spectrum.intensity, three.ir_spectrum.intensity));
 }
 
 TEST(Workflow, EmptySystemRejected) {

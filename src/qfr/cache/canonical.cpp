@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <istream>
 #include <numeric>
-#include <ostream>
 
 #include "qfr/common/error.hpp"
 #include "qfr/la/eig.hpp"
@@ -329,49 +326,28 @@ engine::FragmentResult permute_result(const engine::FragmentResult& in,
 // ---------------------------------------------------------------------------
 // Persistent-store key serialization.
 
-namespace {
-
-constexpr std::uint64_t kMaxNsBytes = 1u << 12;
-constexpr std::uint64_t kMaxKeyAtoms = 1u << 20;
-
-void put_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-bool get_u64(std::istream& is, std::uint64_t* v) {
-  is.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return is.good();
+void write_key(std::string& out, const FragmentKey& k) {
+  common::put_string(out, k.ns);
+  common::put_f64(out, k.tolerance);
+  common::put_u64(out, k.z.size());
+  common::put_bytes(out, k.z.data(), k.z.size() * sizeof(std::int32_t));
+  common::put_bytes(out, k.q.data(), k.q.size() * sizeof(std::int64_t));
+  common::put_u64(out, k.h0);
+  common::put_u64(out, k.h1);
 }
 
-}  // namespace
-
-void write_key(std::ostream& os, const FragmentKey& k) {
-  put_u64(os, static_cast<std::uint64_t>(k.ns.size()));
-  os.write(k.ns.data(), static_cast<std::streamsize>(k.ns.size()));
-  os.write(reinterpret_cast<const char*>(&k.tolerance), sizeof(double));
-  put_u64(os, static_cast<std::uint64_t>(k.z.size()));
-  os.write(reinterpret_cast<const char*>(k.z.data()),
-           static_cast<std::streamsize>(k.z.size() * sizeof(std::int32_t)));
-  os.write(reinterpret_cast<const char*>(k.q.data()),
-           static_cast<std::streamsize>(k.q.size() * sizeof(std::int64_t)));
-  put_u64(os, k.h0);
-  put_u64(os, k.h1);
-}
-
-bool read_key(std::istream& is, FragmentKey* k) {
-  std::uint64_t ns_len = 0;
-  if (!get_u64(is, &ns_len) || ns_len > kMaxNsBytes) return false;
-  k->ns.resize(static_cast<std::size_t>(ns_len));
-  is.read(k->ns.data(), static_cast<std::streamsize>(ns_len));
-  is.read(reinterpret_cast<char*>(&k->tolerance), sizeof(double));
+bool read_key(common::ByteReader& in, FragmentKey* k) {
+  constexpr std::size_t kAtomBytes =
+      sizeof(std::int32_t) + 3 * sizeof(std::int64_t);
   std::uint64_t n = 0;
-  if (!is.good() || !get_u64(is, &n) || n > kMaxKeyAtoms) return false;
+  if (!in.get_string(&k->ns) || !in.get_f64(&k->tolerance) ||
+      !in.get_u64(&n) || !in.holds(n, kAtomBytes))
+    return false;
   k->z.resize(static_cast<std::size_t>(n));
   k->q.resize(static_cast<std::size_t>(3 * n));
-  is.read(reinterpret_cast<char*>(k->z.data()),
-          static_cast<std::streamsize>(k->z.size() * sizeof(std::int32_t)));
-  is.read(reinterpret_cast<char*>(k->q.data()),
-          static_cast<std::streamsize>(k->q.size() * sizeof(std::int64_t)));
-  return is.good() && get_u64(is, &k->h0) && get_u64(is, &k->h1);
+  return in.get_bytes(k->z.data(), k->z.size() * sizeof(std::int32_t)) &&
+         in.get_bytes(k->q.data(), k->q.size() * sizeof(std::int64_t)) &&
+         in.get_u64(&k->h0) && in.get_u64(&k->h1);
 }
 
 }  // namespace qfr::cache

@@ -3,12 +3,12 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "qfr/chem/molecule.hpp"
+#include "qfr/common/bytes.hpp"
 #include "qfr/engine/fragment_engine.hpp"
 #include "qfr/geom/vec3.hpp"
 
@@ -102,9 +102,9 @@ engine::FragmentResult permute_result(const engine::FragmentResult& in,
                                       const std::vector<std::size_t>& map);
 
 /// Persistent-store serialization of a key (framing and CRC are the
-/// store's job). read_key returns false on truncation or a size field
-/// beyond sanity bounds, without throwing.
-void write_key(std::ostream& os, const FragmentKey& k);
-bool read_key(std::istream& is, FragmentKey* k);
+/// store's job). read_key consumes one key from `in` and returns false on
+/// truncation or a count field its bytes do not back, without throwing.
+void write_key(std::string& out, const FragmentKey& k);
+bool read_key(common::ByteReader& in, FragmentKey* k);
 
 }  // namespace qfr::cache

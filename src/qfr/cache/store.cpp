@@ -7,14 +7,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include "qfr/common/cancel.hpp"
-#include "qfr/common/crc32.hpp"
 #include "qfr/common/error.hpp"
 #include "qfr/frag/checkpoint.hpp"
 #include "qfr/obs/session.hpp"
@@ -25,9 +23,9 @@ namespace qfr::cache {
 namespace {
 
 constexpr std::uint64_t kStoreMagic = 0x43524651u;  // "QFRC"
-constexpr std::uint64_t kStoreVersion = 1;
-constexpr std::uint64_t kMaxKeyBytes = 1ull << 24;
-constexpr std::uint64_t kMaxPayloadBytes = 1ull << 32;
+// Version 1 used its own [key len][payload len][key][payload][crc] frame;
+// it is rejected like any other mismatch.
+constexpr std::uint64_t kStoreVersion = 2;
 constexpr std::uint64_t kHeaderBytes = 2 * sizeof(std::uint64_t);
 
 /// Scoped flock on the store's lockfile. The lockfile (not the store
@@ -44,14 +42,6 @@ struct FileLockGuard {
   FileLockGuard& operator=(const FileLockGuard&) = delete;
 };
 
-void put_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-bool get_u64(std::istream& is, std::uint64_t* v) {
-  is.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return is.good();
-}
-
 bool all_finite(const la::Matrix& m) {
   const double* p = m.data();
   for (std::size_t i = 0; i < m.size(); ++i)
@@ -59,28 +49,15 @@ bool all_finite(const la::Matrix& m) {
   return true;
 }
 
-/// One CRC-framed store record: [key_len][payload_len][key][payload][crc].
-/// The CRC covers key + payload together, so damage to either side is
-/// detected; the two length fields make a damaged record skippable.
-void put_frame(std::ostream& os, const FragmentKey& key,
-               const engine::FragmentResult& canonical) {
-  std::ostringstream kos(std::ios::binary);
-  write_key(kos, key);
-  std::ostringstream pos(std::ios::binary);
-  frag::write_result_record(pos, canonical);
-  const std::string kb = kos.str();
-  const std::string pb = pos.str();
-
-  put_u64(os, static_cast<std::uint64_t>(kb.size()));
-  put_u64(os, static_cast<std::uint64_t>(pb.size()));
-  os.write(kb.data(), static_cast<std::streamsize>(kb.size()));
-  os.write(pb.data(), static_cast<std::streamsize>(pb.size()));
-  // The CRC is taken over key and payload together (the one-shot helper
-  // wants a single buffer), so damage to either side fails the check.
-  std::string joined;
-  joined.reserve(kb.size() + pb.size());
-  joined.append(kb).append(pb);
-  put_u64(os, common::crc32(joined.data(), joined.size()));
+/// One store record: the checkpoint's frame with id = the key's hash low
+/// word and body = key ‖ result record, so the CRC covers both halves.
+std::string store_frame(const FragmentKey& key,
+                        const engine::FragmentResult& canonical) {
+  std::string body, frame;
+  write_key(body, key);
+  frag::write_result_record(body, canonical);
+  frag::append_frame(frame, key.h0, body);
+  return frame;
 }
 
 }  // namespace
@@ -210,17 +187,7 @@ engine::FragmentResult ResultCache::get_or_compute(std::string_view ns,
       continue;  // retry the lookup against the refreshed map
     }
 
-    if (value) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      bump("qfr.cache.hits");
-      bump_ns("qfr.cache.hits", c.key.ns);
-      obs::SpanGuard span(obs::current(), "cache.hit", "cache");
-      span.arg("atoms", static_cast<double>(c.key.n_atoms()));
-      engine::FragmentResult out = to_lab_frame(*value, c);
-      out.reuse_tier = engine::ReuseTier::kExact;
-      return out;
-    }
-
+    if (value) return serve_hit(*value, c);
     if (leader) return compute_as_leader(shard, c, fl, compute);
 
     // Someone else is computing this key: wait for their publication.
@@ -231,32 +198,31 @@ engine::FragmentResult ResultCache::get_or_compute(std::string_view ns,
       inflight_waits_.fetch_add(1, std::memory_order_relaxed);
       bump("qfr.cache.inflight_waits");
     }
-    bool ok = false;
     {
       std::unique_lock<std::mutex> lk(fl->m);
       while (!fl->done) {
         cancel.throw_if_cancelled();
         fl->cv.wait_for(lk, std::chrono::milliseconds(1));
       }
-      if (!fl->failed && fl->canonical) {
-        value = fl->canonical;
-        ok = true;
-      }
+      if (!fl->failed) value = fl->canonical;
     }
-    if (ok) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      bump("qfr.cache.hits");
-      bump_ns("qfr.cache.hits", c.key.ns);
-      obs::SpanGuard span(obs::current(), "cache.hit", "cache");
-      span.arg("atoms", static_cast<double>(c.key.n_atoms()));
-      engine::FragmentResult out = to_lab_frame(*value, c);
-      out.reuse_tier = engine::ReuseTier::kExact;
-      return out;
-    }
+    if (value) return serve_hit(*value, c);
     // Leader failed (threw, or its result was refused): retry from the
     // top — this request may find a value inserted meanwhile or become
     // the new leader and compute for itself.
   }
+}
+
+engine::FragmentResult ResultCache::serve_hit(
+    const engine::FragmentResult& canonical, const Canonicalization& c) {
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  bump("qfr.cache.hits");
+  bump_ns("qfr.cache.hits", c.key.ns);
+  obs::SpanGuard span(obs::current(), "cache.hit", "cache");
+  span.arg("atoms", static_cast<double>(c.key.n_atoms()));
+  engine::FragmentResult out = to_lab_frame(canonical, c);
+  out.reuse_tier = engine::ReuseTier::kExact;
+  return out;
 }
 
 engine::FragmentResult ResultCache::compute_as_leader(
@@ -340,12 +306,7 @@ std::optional<engine::FragmentResult> ResultCache::lookup(
     bump_ns("qfr.cache.misses", c.key.ns);
     return std::nullopt;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  bump("qfr.cache.hits");
-  bump_ns("qfr.cache.hits", c.key.ns);
-  engine::FragmentResult out = to_lab_frame(*value, c);
-  out.reuse_tier = engine::ReuseTier::kExact;
-  return out;
+  return serve_hit(*value, c);
 }
 
 std::optional<engine::FragmentResult> ResultCache::probe(
@@ -534,9 +495,10 @@ void ResultCache::ensure_store_current_locked() {
     if (::fstat(store_fd_.get(), &fs) != 0 || fs.st_size != 0) return;
   }
   // Empty file: stamp the header (exclusive lock held by the caller).
-  std::uint64_t header[2] = {kStoreMagic, kStoreVersion};
+  std::string header;
+  frag::append_file_header(header, kStoreMagic, kStoreVersion);
   QFR_REQUIRE(
-      common::write_full(store_fd_.get(), header, sizeof(header)),
+      common::write_full(store_fd_.get(), header.data(), header.size()),
       "result-cache store header write failed");
 }
 
@@ -561,8 +523,8 @@ bool ResultCache::scan_store_locked(bool strict_header) {
   bool damaged = false;
   if (scan_offset_ < kHeaderBytes) {
     std::uint64_t magic = 0, version = 0;
-    const bool header_ok = get_u64(is, &magic) && magic == kStoreMagic &&
-                           get_u64(is, &version) && version == kStoreVersion;
+    const bool header_ok = frag::read_file_header(is, &magic, &version) &&
+                           magic == kStoreMagic && version == kStoreVersion;
     if (strict_header) {
       QFR_REQUIRE(header_ok,
                   "'" << opts_.store_path
@@ -577,43 +539,29 @@ bool ResultCache::scan_store_locked(bool strict_header) {
     is.seekg(static_cast<std::streamoff>(scan_offset_));
   }
 
-  std::string kb, pb;
+  std::string body;
   for (;;) {
-    std::uint64_t klen = 0, plen = 0;
-    if (!get_u64(is, &klen)) break;  // clean end of stream
-    if (klen > kMaxKeyBytes || !get_u64(is, &plen) ||
-        plen > kMaxPayloadBytes) {
-      // A corrupt length field hides the next frame boundary: stop here
-      // (scan_offset_ stays before the damage).
+    std::uint64_t id = 0;
+    const frag::FrameStatus status = frag::read_frame(is, &id, &body);
+    if (status == frag::FrameStatus::kEnd) break;
+    if (status == frag::FrameStatus::kTruncated) {
+      // A torn tail (the record in flight at a kill) or a corrupt length
+      // hiding the next frame boundary: stop here (scan_offset_ stays
+      // before the damage).
       store_corrupt_.fetch_add(1, std::memory_order_relaxed);
       damaged = true;
       break;
     }
-    kb.resize(static_cast<std::size_t>(klen));
-    is.read(kb.data(), static_cast<std::streamsize>(klen));
-    pb.resize(static_cast<std::size_t>(plen));
-    is.read(pb.data(), static_cast<std::streamsize>(plen));
-    std::uint64_t stored_crc = 0;
-    if (!is.good() || !get_u64(is, &stored_crc)) {
-      store_corrupt_.fetch_add(1, std::memory_order_relaxed);
-      damaged = true;  // torn tail: the record in flight at a kill
-      break;
-    }
-    std::string joined;
-    joined.reserve(kb.size() + pb.size());
-    joined.append(kb).append(pb);
+    scan_offset_ = static_cast<std::uint64_t>(is.tellg());
     FragmentKey key;
     engine::FragmentResult r;
-    std::istringstream ks(kb, std::ios::binary);
-    std::istringstream ps(pb, std::ios::binary);
-    if (common::crc32(joined.data(), joined.size()) != stored_crc ||
-        !read_key(ks, &key) || !frag::read_result_record(ps, &r)) {
+    common::ByteReader in(body);
+    if (status == frag::FrameStatus::kCorrupt || !read_key(in, &key) ||
+        !frag::read_result_record(in, &r) || !in.at_end() || id != key.h0) {
       store_corrupt_.fetch_add(1, std::memory_order_relaxed);
       damaged = true;  // framing intact, content damaged: skip one record
-      scan_offset_ = static_cast<std::uint64_t>(is.tellg());
       continue;
     }
-    scan_offset_ = static_cast<std::uint64_t>(is.tellg());
     if (key.tolerance != opts_.tolerance) {
       store_skipped_.fetch_add(1, std::memory_order_relaxed);
       damaged = true;  // built at a foreign grid spacing
@@ -639,14 +587,7 @@ void ResultCache::load_store() {
   if (scan_store_locked(/*strict_header=*/true)) {
     // Drop the damaged/foreign records on disk so future appends land on
     // a clean frame boundary.
-    write_store_file(opts_.store_path);
-    ensure_store_current_locked();
-    struct ::stat st {};
-    if (::fstat(store_fd_.get(), &st) == 0) {
-      scan_dev_ = static_cast<std::uint64_t>(st.st_dev);
-      scan_ino_ = static_cast<std::uint64_t>(st.st_ino);
-      scan_offset_ = static_cast<std::uint64_t>(st.st_size);
-    }
+    rewrite_store_locked();
   }
 }
 
@@ -672,9 +613,7 @@ void ResultCache::reopen_after_fork() {
 void ResultCache::append_to_store(const FragmentKey& key,
                                   const engine::FragmentResult& canonical) {
   if (opts_.store_path.empty()) return;
-  std::ostringstream os(std::ios::binary);
-  put_frame(os, key, canonical);
-  const std::string frame = os.str();
+  const std::string frame = store_frame(key, canonical);
 
   std::lock_guard<std::mutex> lk(store_mutex_);
   if (!store_fd_.valid()) return;
@@ -700,20 +639,24 @@ void ResultCache::append_to_store(const FragmentKey& key,
   if (was_current) scan_offset_ += frame.size();
 }
 
-void ResultCache::write_store_file(const std::string& path) {
+void ResultCache::rewrite_store_locked() {
   // Write-then-rename: readers (and the next run) see either the old
   // complete store or the new complete store, never a torn one.
+  const std::string& path = opts_.store_path;
   const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     QFR_REQUIRE(os.good(), "cannot open '" << tmp << "' for writing");
-    put_u64(os, kStoreMagic);
-    put_u64(os, kStoreVersion);
+    std::string header;
+    frag::append_file_header(header, kStoreMagic, kStoreVersion);
+    os.write(header.data(), static_cast<std::streamsize>(header.size()));
     for (const auto& sh : shards_) {
       std::lock_guard<std::mutex> lk(sh->m);
       // Oldest first, so a budget-limited reload keeps the recent end.
-      for (auto it = sh->lru.rbegin(); it != sh->lru.rend(); ++it)
-        put_frame(os, it->key, *it->value);
+      for (auto it = sh->lru.rbegin(); it != sh->lru.rend(); ++it) {
+        const std::string frame = store_frame(it->key, *it->value);
+        os.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+      }
     }
     os.flush();
     QFR_REQUIRE(os.good(), "result-cache store write to '" << tmp
@@ -721,6 +664,15 @@ void ResultCache::write_store_file(const std::string& path) {
   }
   QFR_REQUIRE(std::rename(tmp.c_str(), path.c_str()) == 0,
               "cannot rename '" << tmp << "' to '" << path << "'");
+  // The rename replaced the inode: re-point the append descriptor and
+  // mark the whole rewritten file as already-read.
+  ensure_store_current_locked();
+  struct ::stat st {};
+  if (::fstat(store_fd_.get(), &st) == 0) {
+    scan_dev_ = static_cast<std::uint64_t>(st.st_dev);
+    scan_ino_ = static_cast<std::uint64_t>(st.st_ino);
+    scan_offset_ = static_cast<std::uint64_t>(st.st_size);
+  }
 }
 
 void ResultCache::compact() {
@@ -732,16 +684,7 @@ void ResultCache::compact() {
   // Merge foreign appends into memory first — rewriting from memory alone
   // would silently drop records other processes added since our last scan.
   scan_store_locked(/*strict_header=*/false);
-  write_store_file(opts_.store_path);
-  // The rename replaced the inode: re-point the append descriptor and
-  // mark the whole rewritten file as already-read.
-  ensure_store_current_locked();
-  struct ::stat st {};
-  if (::fstat(store_fd_.get(), &st) == 0) {
-    scan_dev_ = static_cast<std::uint64_t>(st.st_dev);
-    scan_ino_ = static_cast<std::uint64_t>(st.st_ino);
-    scan_offset_ = static_cast<std::uint64_t>(st.st_size);
-  }
+  rewrite_store_locked();
 }
 
 }  // namespace qfr::cache

@@ -35,7 +35,7 @@ struct CacheOptions {
   std::size_t n_shards = 16;
   /// Append-only on-disk store (empty = in-memory only). Loaded on
   /// construction, appended to on every accepted insert; the file uses
-  /// the same CRC32-framed record style as v4 checkpoints, so a bit flip
+  /// the v4 checkpoint's CRC32 frame (frag::append_frame), so a bit flip
   /// at rest loses exactly one entry.
   ///
   /// The store is multi-process safe: appends are whole-frame writes on
@@ -179,6 +179,10 @@ class ResultCache {
   struct Shard;
 
   Shard& shard_for(const FragmentKey& key) const;
+  /// The one exact-hit path: count the hit (aggregate and per namespace)
+  /// under a cache.hit span and map `canonical` into the query's lab frame.
+  engine::FragmentResult serve_hit(const engine::FragmentResult& canonical,
+                                   const Canonicalization& c);
   engine::FragmentResult compute_as_leader(Shard& shard,
                                            const Canonicalization& c,
                                            const std::shared_ptr<InFlight>& fl,
@@ -190,7 +194,9 @@ class ResultCache {
   void load_store();
   void append_to_store(const FragmentKey& key,
                        const engine::FragmentResult& canonical);
-  void write_store_file(const std::string& path);
+  /// Rewrite the store to exactly the in-memory entries and re-point the
+  /// append fd at it. Exclusive store lock + store_mutex_ held.
+  void rewrite_store_locked();
   /// Open (or re-open) the append and lock descriptors. store_mutex_ held.
   void open_store_fds_locked();
   /// Re-open the append fd when another process compacted (renamed over)

@@ -7,14 +7,8 @@
 
 namespace qfr::fault {
 
-namespace {
-
-// v4 frame prefix: [id u64][payload len u64] before the payload bytes.
-constexpr std::uint64_t kFramePrefix = 16;
-// CRC u64 after the payload.
-constexpr std::uint64_t kFrameSuffix = 8;
-
-}  // namespace
+using frag::kFramePrefix;
+using frag::kFrameSuffix;
 
 CorruptingCheckpointSink::CorruptingCheckpointSink(const std::string& path,
                                                    FaultInjector& injector)

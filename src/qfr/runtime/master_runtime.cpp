@@ -63,7 +63,7 @@ RunReport MasterRuntime::run(std::span<const frag::Fragment> fragments,
 
 RunReport MasterRuntime::run(std::span<const frag::Fragment> fragments,
                              const FragmentCompute& compute) const {
-  return run_impl(fragments, compute, options_.primary_engine_name);
+  return run_impl(fragments, compute, "primary");
 }
 
 RunReport MasterRuntime::run_impl(std::span<const frag::Fragment> fragments,

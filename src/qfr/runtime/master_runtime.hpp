@@ -97,10 +97,6 @@ struct RuntimeOptions {
   /// on. Not owned; may be null (fragments then fail permanently as
   /// before).
   const engine::EngineFallbackChain* fallback_chain = nullptr;
-  /// Engine name recorded for level-0 completions when running through a
-  /// bare FragmentCompute callable (the engine overload supplies its own
-  /// name automatically).
-  std::string primary_engine_name = "primary";
   /// Leader supervision (heartbeats, lease revocation, respawn).
   SupervisionOptions supervision;
   /// Observability session recording this sweep (metrics, trace spans).
@@ -192,7 +188,8 @@ class MasterRuntime {
   /// indexed by fragment id. Failing fragments are retried up to
   /// max_retries times, then either abort the run (abort_on_failure,
   /// default) or are reported in RunReport::outcomes. Reusable: each call
-  /// is an independent sweep with a fresh policy.
+  /// is an independent sweep with a fresh policy. Level-0 completions are
+  /// recorded under the engine name "primary".
   RunReport run(std::span<const frag::Fragment> fragments,
                 const FragmentCompute& compute) const;
 

@@ -1,8 +1,6 @@
 #include "qfr/runtime/wire.hpp"
 
-#include <cstring>
-#include <sstream>
-
+#include "qfr/common/bytes.hpp"
 #include "qfr/common/crc32.hpp"
 #include "qfr/frag/checkpoint.hpp"
 
@@ -10,59 +8,12 @@ namespace qfr::runtime::wire {
 
 namespace {
 
-// Bounded little-endian readers over a payload view. Every decode_*
-// routine goes through these, so a truncated or hostile payload can only
-// produce a clean `false`, never an out-of-bounds read.
-struct Cursor {
-  const char* p;
-  std::size_t n;
-
-  bool get_u32(std::uint32_t* v) {
-    if (n < sizeof(*v)) return false;
-    std::memcpy(v, p, sizeof(*v));
-    p += sizeof(*v);
-    n -= sizeof(*v);
-    return true;
-  }
-  bool get_u64(std::uint64_t* v) {
-    if (n < sizeof(*v)) return false;
-    std::memcpy(v, p, sizeof(*v));
-    p += sizeof(*v);
-    n -= sizeof(*v);
-    return true;
-  }
-  bool get_f64(double* v) {
-    if (n < sizeof(*v)) return false;
-    std::memcpy(v, p, sizeof(*v));
-    p += sizeof(*v);
-    n -= sizeof(*v);
-    return true;
-  }
-  /// Length-prefixed string; the length must fit in the remaining bytes.
-  bool get_string(std::string* s) {
-    std::uint64_t len = 0;
-    if (!get_u64(&len) || len > n) return false;
-    s->assign(p, static_cast<std::size_t>(len));
-    p += len;
-    n -= static_cast<std::size_t>(len);
-    return true;
-  }
-  bool at_end() const { return n == 0; }
-};
-
-void put_u32(std::string& out, std::uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void put_u64(std::string& out, std::uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void put_f64(std::string& out, double v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void put_string(std::string& out, std::string_view s) {
-  put_u64(out, s.size());
-  out.append(s.data(), s.size());
-}
+// Every decode_* routine reads through the bounded common::ByteReader.
+using common::ByteReader;
+using common::put_f64;
+using common::put_string;
+using common::put_u32;
+using common::put_u64;
 
 bool known_type(std::uint32_t t) {
   return t >= static_cast<std::uint32_t>(MsgType::kHello) &&
@@ -89,18 +40,16 @@ const char* to_string(DecodeStatus status) {
 
 std::string encode_frame_versioned(std::uint32_t version, MsgType type,
                                    std::string_view payload) {
-  std::string covered;  // version + type + len + payload (what the CRC signs)
-  covered.reserve(payload.size() + kHeaderBytes);
-  put_u32(covered, version);
-  put_u32(covered, static_cast<std::uint32_t>(type));
-  put_u64(covered, payload.size());
-  covered.append(payload.data(), payload.size());
-
   std::string out;
-  out.reserve(covered.size() + sizeof(std::uint32_t) * 2);
+  out.reserve(kHeaderBytes + payload.size() + sizeof(std::uint32_t));
   put_u32(out, kMagic);
-  out.append(covered);
-  put_u32(out, common::crc32(covered.data(), covered.size()));
+  put_u32(out, version);
+  put_u32(out, static_cast<std::uint32_t>(type));
+  put_string(out, payload);
+  // The CRC signs everything after the magic: version, type, length and
+  // payload.
+  put_u32(out, common::crc32(out.data() + sizeof(std::uint32_t),
+                             out.size() - sizeof(std::uint32_t)));
   return out;
 }
 
@@ -110,7 +59,7 @@ std::string encode_frame(MsgType type, std::string_view payload) {
 
 DecodeStatus FrameReader::next(Frame* out) {
   if (buf_.size() < kHeaderBytes) return DecodeStatus::kNeedMore;
-  Cursor c{buf_.data(), buf_.size()};
+  ByteReader c(buf_);
   std::uint32_t magic = 0, version = 0, type = 0;
   std::uint64_t len = 0;
   c.get_u32(&magic);
@@ -127,8 +76,8 @@ DecodeStatus FrameReader::next(Frame* out) {
   if (buf_.size() < total) return DecodeStatus::kNeedMore;
 
   std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, buf_.data() + total - sizeof(std::uint32_t),
-              sizeof(stored_crc));
+  ByteReader(std::string_view(buf_).substr(total - sizeof(stored_crc)))
+      .get_u32(&stored_crc);
   // CRC covers version..payload (everything between magic and crc).
   const char* covered = buf_.data() + sizeof(std::uint32_t);
   const std::size_t covered_n = total - 2 * sizeof(std::uint32_t);
@@ -152,7 +101,7 @@ std::string encode_hello(const HelloMsg& m) {
 }
 
 bool decode_hello(std::string_view payload, HelloMsg* m) {
-  Cursor c{payload.data(), payload.size()};
+  ByteReader c(payload);
   return c.get_u64(&m->pid) && c.get_u64(&m->leader) && c.at_end();
 }
 
@@ -169,12 +118,12 @@ std::string encode_task(const TaskMsg& m) {
 }
 
 bool decode_task(std::string_view payload, TaskMsg* m) {
-  Cursor c{payload.data(), payload.size()};
+  ByteReader c(payload);
   std::uint64_t n = 0;
   if (!c.get_u64(&n)) return false;
   // Four u64 fields per item: the count field must match the bytes that
   // actually arrived (a hostile count cannot trigger a huge allocation).
-  if (n > c.n / (4 * sizeof(std::uint64_t))) return false;
+  if (!c.holds(n, 4 * sizeof(std::uint64_t))) return false;
   m->items.resize(static_cast<std::size_t>(n));
   for (TaskItem& it : m->items) {
     if (!c.get_u64(&it.fragment_id) || !c.get_u64(&it.epoch) ||
@@ -199,29 +148,31 @@ std::string encode_result(const ResultMsg& m) {
   put_f64(out, m.result.phase_times.n1);
   put_f64(out, m.result.phase_times.v1);
   put_f64(out, m.result.phase_times.h1);
-  std::ostringstream os(std::ios::binary);
-  frag::write_result_record(os, m.result);
-  put_string(out, os.str());
+  std::string record;
+  frag::write_result_record(record, m.result);
+  put_string(out, record);
   return out;
 }
 
 bool decode_result(std::string_view payload, ResultMsg* m) {
-  Cursor c{payload.data(), payload.size()};
+  ByteReader c(payload);
   std::uint64_t tier = 0;
   dfpt::PhaseTimes phases;
-  std::string record;
+  std::string_view record;
   if (!c.get_u64(&m->fragment_id) || !c.get_u64(&m->epoch) ||
       !c.get_u64(&m->level) || !c.get_f64(&m->seconds) || !c.get_u64(&tier) ||
       tier > static_cast<std::uint64_t>(engine::ReuseTier::kRefresh) ||
       !c.get_f64(&phases.p1) || !c.get_f64(&phases.n1) ||
       !c.get_f64(&phases.v1) || !c.get_f64(&phases.h1) ||
-      !c.get_string(&record) || !c.at_end())
+      !c.get_view(&record) || !c.at_end())
     return false;
   m->reuse_tier = static_cast<engine::ReuseTier>(tier);
-  std::istringstream is(record, std::ios::binary);
-  // read_result_record bounds-checks matrix dimensions and requires the
-  // completion sentinel, so a damaged embedded record is a clean false.
-  if (!frag::read_result_record(is, &m->result)) return false;
+  // read_result_record checks every matrix shape against the bytes present
+  // and requires the completion sentinel, so a damaged or hostile embedded
+  // record is a clean false.
+  ByteReader rec(record);
+  if (!frag::read_result_record(rec, &m->result) || !rec.at_end())
+    return false;
   m->result.phase_times = phases;
   return true;
 }
@@ -237,7 +188,7 @@ std::string encode_failure(const FailureMsg& m) {
 }
 
 bool decode_failure(std::string_view payload, FailureMsg* m) {
-  Cursor c{payload.data(), payload.size()};
+  ByteReader c(payload);
   std::uint64_t reason = 0;
   if (!c.get_u64(&m->fragment_id) || !c.get_u64(&m->epoch) ||
       !c.get_u64(&m->level) || !c.get_u64(&reason) ||
@@ -257,7 +208,7 @@ std::string encode_cancelled(const CancelledMsg& m) {
 }
 
 bool decode_cancelled(std::string_view payload, CancelledMsg* m) {
-  Cursor c{payload.data(), payload.size()};
+  ByteReader c(payload);
   return c.get_u64(&m->fragment_id) && c.get_u64(&m->epoch) && c.at_end();
 }
 
@@ -269,7 +220,7 @@ std::string encode_cancel(const CancelMsg& m) {
 }
 
 bool decode_cancel(std::string_view payload, CancelMsg* m) {
-  Cursor c{payload.data(), payload.size()};
+  ByteReader c(payload);
   return c.get_u64(&m->fragment_id) && c.get_u64(&m->epoch) && c.at_end();
 }
 
@@ -287,13 +238,13 @@ std::string encode_stats(const StatsMsg& m) {
 }
 
 bool decode_stats(std::string_view payload, StatsMsg* m) {
-  Cursor c{payload.data(), payload.size()};
+  ByteReader c(payload);
   std::uint64_t n = 0;
   if (!c.get_f64(&m->busy_seconds) || !c.get_u64(&m->tasks) ||
       !c.get_u64(&m->fragments) || !c.get_u64(&n))
     return false;
   // Each counter needs at least a length and a value on the wire.
-  if (n > c.n / (2 * sizeof(std::uint64_t))) return false;
+  if (!c.holds(n, 2 * sizeof(std::uint64_t))) return false;
   m->counters.clear();
   m->counters.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {

@@ -18,8 +18,11 @@ namespace qfr::xdev {
 ///     With P1 symmetric the two diagonals are equal, so one GEMM and a
 ///     doubled contraction suffice.
 ///
-/// Both variants are kept: `*_naive` is the correctness reference and the
-/// bench baseline; `*_reduced` is what the production path uses.
+/// Both variants serve only bench/micro_kernels.cpp and the cluster/xdev
+/// tests: `*_naive` is the correctness reference and the bench baseline,
+/// `*_reduced` the Fig. 6 form. No production module includes this
+/// header; the production H1 takes its symmetric reduction from
+/// la::TaskSym::kSymmetricOut in grid::accumulate_potential_matrix_many.
 
 /// (a) naive: three GEMM invocations. chi, gchi are (points x nbf);
 /// returns the (nbf x nbf) symmetric accumulation.

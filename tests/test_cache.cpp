@@ -10,10 +10,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,11 +23,13 @@
 #include "qfr/cache/store.hpp"
 #include "qfr/chem/molecule.hpp"
 #include "qfr/chem/protein.hpp"
+#include "qfr/common/bytes.hpp"
 #include "qfr/common/error.hpp"
 #include "qfr/common/rng.hpp"
 #include "qfr/engine/model_engine.hpp"
 #include "qfr/fault/chaos.hpp"
 #include "qfr/fault/fault_injector.hpp"
+#include "qfr/frag/checkpoint.hpp"
 #include "qfr/frag/fragmentation.hpp"
 #include "qfr/obs/session.hpp"
 #include "qfr/qframan/workflow.hpp"
@@ -265,19 +268,17 @@ TEST(Canonical, BackRotatedHitMatchesDirectComputeOfRotatedPose) {
 TEST(Canonical, KeySerializationRoundTrips) {
   const Canonicalization c =
       canonicalize(chem::make_water({1, 2, 3}, 0.7), 1e-4, "scf_hf");
-  std::stringstream ss(std::ios::binary | std::ios::in | std::ios::out);
-  write_key(ss, c.key);
+  std::string bytes;
+  write_key(bytes, c.key);
+  common::ByteReader in(bytes);
   FragmentKey back;
-  ASSERT_TRUE(read_key(ss, &back));
+  ASSERT_TRUE(read_key(in, &back));
+  EXPECT_TRUE(in.at_end());
   EXPECT_TRUE(back == c.key);
 
-  // Truncated stream: clean false, no throw.
-  std::stringstream truncated(std::ios::binary | std::ios::in |
-                              std::ios::out);
-  write_key(truncated, c.key);
-  std::string bytes = truncated.str();
+  // Truncated bytes: clean false, no throw.
   bytes.resize(bytes.size() / 2);
-  std::istringstream half(bytes, std::ios::binary);
+  common::ByteReader half(bytes);
   FragmentKey dropped;
   EXPECT_FALSE(read_key(half, &dropped));
 }
@@ -624,6 +625,55 @@ TEST(PersistentStore, CompactRewritesExactlyTheLiveEntries) {
   ResultCache reloaded(disk_opts(f.path));
   EXPECT_EQ(reloaded.stats().store_loaded, 3);
   EXPECT_EQ(reloaded.stats().store_corrupt, 0);
+}
+
+// The store file header: [magic "QFRC" u64][version u64].
+void write_store_header(const std::string& path, std::uint64_t version) {
+  std::string header;
+  frag::append_file_header(header, 0x43524651u, version);
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(header.data(), static_cast<std::streamsize>(header.size()));
+}
+
+TEST(PersistentStore, VersionOneStoreIsRejected) {
+  // Version 1 framed records its own way; opening one must fail typed, not
+  // misread its records as corrupt and rewrite the file.
+  ScratchFile f("qfr_cache_v1.bin");
+  write_store_header(f.path, 1);
+  try {
+    ResultCache cache(disk_opts(f.path));
+    ADD_FAILURE() << "a version-1 store was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("version is unsupported"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PersistentStore, HostileMatrixShapeCountsCorrupt) {
+  // A CRC-valid store frame whose record claims a 2^20 x 2^20 Hessian
+  // (8 TiB) is counted corrupt and skipped, never allocated.
+  ScratchFile f("qfr_cache_hostile.bin");
+  const Molecule w = chem::make_water({0, 0, 0});
+  const Canonicalization c = canonicalize(w, 1e-4, "model");
+  std::string record;
+  frag::write_result_record(record, engine::ModelEngine().compute(w));
+  const std::uint64_t huge = 1ull << 20;
+  std::memcpy(&record[8], &huge, sizeof(huge));   // rows, after the energy
+  std::memcpy(&record[16], &huge, sizeof(huge));  // cols
+  std::string body, frame;
+  write_key(body, c.key);
+  body += record;
+  frag::append_frame(frame, c.key.h0, body);
+  write_store_header(f.path, 2);
+  {
+    std::ofstream os(f.path, std::ios::binary | std::ios::app);
+    os.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  }
+  ResultCache cache(disk_opts(f.path));
+  EXPECT_EQ(cache.stats().store_corrupt, 1);
+  EXPECT_EQ(cache.stats().store_loaded, 0);
+  EXPECT_FALSE(cache.lookup("model", w).has_value());
 }
 
 // ---------------------------------------------------------------------

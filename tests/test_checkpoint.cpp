@@ -241,6 +241,57 @@ TEST(IncrementalCheckpoint, CorruptLengthFieldStopsScanAsTruncated) {
   EXPECT_TRUE(scan.fragment_ids.empty());
 }
 
+TEST(IncrementalCheckpoint, InBoundLyingLengthStopsScanAsTruncated) {
+  // A length just under the 4 GiB frame bound on a stream holding a few
+  // kilobytes: the body is read as its bytes arrive, so the scan reports
+  // a torn tail without first allocating the claimed 4 GiB.
+  const auto original = sample_results();
+  std::stringstream ss;
+  CheckpointWriter writer(ss);
+  writer.append(0, original[0]);
+  std::string data = ss.str();
+  const std::uint64_t lying = (1ull << 32) - 1;
+  std::memcpy(&data[kHeaderBytes + 8], &lying, sizeof(lying));
+  std::stringstream damaged(data);
+  const CheckpointReport scan = scan_checkpoint(damaged);
+  EXPECT_TRUE(scan.truncated);
+  EXPECT_TRUE(scan.fragment_ids.empty());
+
+  // The frame reader itself stops at the first short chunk: its body
+  // never grows anywhere near the claimed length.
+  std::stringstream frames(data.substr(kHeaderBytes));
+  std::uint64_t id = 0;
+  std::string body;
+  EXPECT_EQ(read_frame(frames, &id, &body), FrameStatus::kTruncated);
+  EXPECT_LT(body.capacity(), std::size_t{16} << 20);
+}
+
+TEST(IncrementalCheckpoint, HostileMatrixShapeCountsCorrupt) {
+  // A CRC-valid frame whose record claims a 2^20 x 2^20 Hessian (8 TiB):
+  // the record reader checks the shape against the body's bytes before
+  // allocating, so the scan counts the record corrupt instead of throwing.
+  const auto original = sample_results();
+  std::string body;
+  write_result_record(body, original[0]);
+  const std::uint64_t huge = 1ull << 20;
+  std::memcpy(&body[8], &huge, sizeof(huge));   // rows, after the energy
+  std::memcpy(&body[16], &huge, sizeof(huge));  // cols
+  std::stringstream ss;
+  CheckpointWriter writer(ss);
+  std::string frame;
+  append_frame(frame, 7, body);
+  ss.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  writer.append(1, original[1]);
+
+  const CheckpointReport scan = scan_checkpoint(ss);
+  EXPECT_FALSE(scan.truncated);
+  EXPECT_EQ(scan.n_corrupt, 1u);
+  ASSERT_EQ(scan.corrupt_ids.size(), 1u);
+  EXPECT_EQ(scan.corrupt_ids[0], 7u);
+  ASSERT_EQ(scan.fragment_ids.size(), 1u);
+  EXPECT_EQ(scan.fragment_ids[0], 1u);
+}
+
 TEST(IncrementalCheckpoint, LegacyUnframedVersionIsRejected) {
   expect_version_rejected(3);  // pre-CRC append-only stream
 }

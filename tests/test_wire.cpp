@@ -333,6 +333,23 @@ TEST(Wire, HostileCountFieldsFailCleanly) {
   EXPECT_FALSE(decode_stats(sp, &sout));
 }
 
+TEST(Wire, HostileMatrixShapeFailsCleanly) {
+  // A result whose embedded Hessian claims 2^20 x 2^20 doubles (8 TiB):
+  // the shape is checked against the bytes present before anything is
+  // allocated, so the decoder refuses it instead of throwing bad_alloc.
+  ResultMsg r;
+  r.fragment_id = 1;
+  r.result = sample_result(2);
+  std::string payload = encode_result(r);
+  // 72 bytes of header fields, the record length, then the energy: the
+  // Hessian's rows and cols follow at offsets 88 and 96.
+  const std::uint64_t huge = 1ull << 20;
+  std::memcpy(&payload[88], &huge, sizeof(huge));
+  std::memcpy(&payload[96], &huge, sizeof(huge));
+  ResultMsg out;
+  EXPECT_FALSE(decode_result(payload, &out));
+}
+
 TEST(Wire, OutOfRangeReuseTierIsRejected) {
   ResultMsg r;
   r.fragment_id = 1;
